@@ -3,8 +3,10 @@
 Training maximizes the log marginal likelihood with analytic gradients,
 using multi-start L-BFGS-B in log-parameter space. Inference goes through
 a cached Cholesky factorization of the training Gram matrix — never an
-explicit inverse. The age-weighted posterior covariance rebuilds all three
-Gram blocks with the weighted kernel, reusing the fitted hyperparameters.
+explicit inverse. The age-weighted posterior variance reweights the
+unweighted feature Gram blocks by an age factor, reusing the fitted
+hyperparameters; only the diagonal is formed unless the full covariance is
+requested.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
+    age_factor,
     gram_matrix,
+    prior_variance,
     zero_distance_value,
 )
 from .seeding import RESTARTS, substream
@@ -169,11 +173,28 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class WeightedCovariance:
-    """Posterior covariance under the age-weighted kernel."""
+    """Posterior variance (and optional full covariance) under the age-weighted kernel.
+
+    ``jitter`` is the diagonal jitter of the weighted training factorization.
+    """
 
     variance: np.ndarray
-    full_cov: np.ndarray
+    full_cov: np.ndarray | None
     jitter: float
+
+
+@dataclass(frozen=True)
+class FeatureGrams:
+    """Unweighted feature-kernel blocks of test rows against a model's training rows.
+
+    ``cross`` is test-by-training; ``train`` is training-by-training without
+    the delta terms (``None`` when only the model's own factorization is
+    needed). The age-weighted kernel multiplies these by an age factor, so
+    one pair serves every age length scale for the same test rows.
+    """
+
+    cross: np.ndarray
+    train: np.ndarray | None
 
 
 def _validated_features(x, n_features: int | None = None, name: str = "X") -> np.ndarray:
@@ -523,19 +544,39 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
 
+def feature_grams(model: TrainedModel, x_test, *, train: bool = True) -> FeatureGrams:
+    """Feature Gram blocks for repeated ``weighted_posterior_cov`` calls on ``x_test``."""
+    xt = _validated_features(x_test, model.params.n_features, "X_test")
+    return FeatureGrams(
+        cross=gram_matrix(xt, model.x, model.params, model.form),
+        train=gram_matrix(model.x, model.x, model.params, model.form) if train else None,
+    )
+
+
 def weighted_posterior_cov(
     model: TrainedModel,
     x_test,
     test_ages,
     age_params: AgeKernelParams,
+    *,
+    full_cov: bool = False,
+    grams: FeatureGrams | None = None,
 ) -> WeightedCovariance:
-    """Posterior covariance under the age-weighted kernel.
+    """Posterior variance under the age-weighted kernel.
 
-    All three Gram blocks are rebuilt with the weighted kernel from the
-    training ages stored in the model and the supplied chronological test
-    ages. The fitted feature hyperparameters are reused unchanged; age
+    The weighted Gram blocks are the feature blocks times the age factor of
+    the training ages stored in the model and the supplied chronological
+    test ages. The fitted feature hyperparameters are reused unchanged; age
     parameters are a user choice, never optimized. With an infinite age
-    length scale and zero age noise this reproduces ``predict`` exactly.
+    length scale and zero age noise the weighted training Gram equals the
+    unweighted one bitwise, so the model's own factorization is reused and
+    the result reproduces ``predict`` exactly.
+
+    Only the variance diagonal is formed, in O(n*m) memory for n test rows
+    and m training rows; ``full_cov=True`` also builds the n x n test block
+    and the full covariance. ``grams`` passes feature blocks from
+    ``feature_grams`` for the same ``x_test``, so a sweep over age
+    parameters builds them once.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     ages = np.asarray(test_ages, dtype=float).reshape(-1)
@@ -543,26 +584,35 @@ def weighted_posterior_cov(
         raise ValueError("test_ages length must match X_test row count")
     if not np.all(np.isfinite(ages)):
         raise ValueError("test ages must be finite")
-    k_train = gram_matrix(
-        model.x, model.x, model.params, model.form,
-        age_params=age_params, ages_a=model.y, ages_b=model.y, same_set=True,
-    )
-    chol, jitter = stable_cholesky(
-        k_train,
-        initial_jitter_factor=model.initial_jitter_factor,
-        max_jitter_factor=model.max_jitter_factor,
-    )
-    k_star = gram_matrix(
-        xt, model.x, model.params, model.form,
-        age_params=age_params, ages_a=ages, ages_b=model.y,
-    )
+    unweighted = math.isinf(age_params.age_length_scale)
+    reuse_model = unweighted and age_params.age_noise_variance == 0.0
+    if grams is None:
+        grams = feature_grams(model, xt, train=not reuse_model)
+    elif grams.cross.shape != (xt.shape[0], model.n_training):
+        raise ValueError("grams were built for a different test set or model")
+    if reuse_model:
+        chol, jitter = model.chol, model.jitter
+    else:
+        if grams.train is None:
+            raise ValueError("grams lack the training block this age weighting needs")
+        k_train = grams.train * age_factor(model.y, model.y, age_params)
+        np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
+        chol, jitter = stable_cholesky(
+            k_train,
+            initial_jitter_factor=model.initial_jitter_factor,
+            max_jitter_factor=model.max_jitter_factor,
+        )
+    # At l_y = inf the age factor is exactly one, so the multiply is skipped.
+    k_star = grams.cross if unweighted else grams.cross * age_factor(ages, model.y, age_params)
     variance, v = _posterior_variance(
         chol, k_star, zero_distance_value(model.params, model.form)
     )
-    k_tt = gram_matrix(
-        xt, xt, model.params, model.form,
-        age_params=age_params, ages_a=ages, ages_b=ages,
-    )
-    cov = k_tt - v.T @ v
-    np.fill_diagonal(cov, variance)
+    cov = None
+    if full_cov:
+        k_tt = gram_matrix(
+            xt, xt, model.params, model.form,
+            age_params=age_params, ages_a=ages, ages_b=ages,
+        )
+        cov = k_tt - v.T @ v
+        np.fill_diagonal(cov, variance)
     return WeightedCovariance(variance=variance, full_cov=cov, jitter=jitter)

@@ -107,6 +107,21 @@ def prior_variance(
     return value
 
 
+def age_factor(
+    ages_a: np.ndarray, ages_b: np.ndarray, age_params: AgeKernelParams
+) -> np.ndarray:
+    """Age-similarity factor ``exp(-(y_i - y_j)^2 / (2 l_y^2))`` without the delta term.
+
+    The age-weighted Gram block is the unweighted feature block times this
+    factor, so a feature block can be built once and reweighted for any
+    ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 (``exp(-0.0)``),
+    so the multiply is an exact no-op.
+    """
+    dy = ages_a[:, None] - ages_b[None, :]
+    ly = age_params.age_length_scale
+    return np.exp(dy * dy / (-2.0 * ly * ly))
+
+
 def gram_matrix(
     a,
     b,
@@ -155,10 +170,7 @@ def gram_matrix(
         yb = np.atleast_1d(np.asarray(ages_b, dtype=float))
         if ya.shape[0] != a.shape[0] or yb.shape[0] != b.shape[0]:
             raise ValueError("age vectors must match the corresponding row counts")
-        dy = ya[:, None] - yb[None, :]
-        ly = age_params.age_length_scale
-        # ly == inf gives exp(-0.0) == 1.0, so the multiply is an exact no-op
-        k *= np.exp(dy * dy / (-2.0 * ly * ly))
+        k *= age_factor(ya, yb, age_params)
 
     if same_set:
         if a.shape[0] != b.shape[0]:

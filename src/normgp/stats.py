@@ -9,7 +9,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .errors import SchemaError
-from .gpr import TrainedModel, weighted_posterior_cov
+from .gpr import TrainedModel, feature_grams, weighted_posterior_cov
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
 from .tabular_io import Cohort, ScoresTable
@@ -273,7 +273,9 @@ def ly_sweep(
     """AUC of the age-weighted uncertainty across a grid of age length scales.
 
     The grid is deduplicated and evaluated in ascending order (infinity
-    last, which reproduces the unweighted uncertainty).
+    last, which reproduces the unweighted uncertainty). The feature Gram
+    blocks are built once; each grid point only reweights them by age,
+    factorizes and solves.
     """
     values = sorted({float(v) for v in grid})
     if not values:
@@ -295,12 +297,13 @@ def ly_sweep(
     transformed = apply_chain(cohort.features, standardizer, pca)[keep]
     ages = cohort.age[keep]
     labels = mask_positive[keep]
+    grams = feature_grams(model, transformed)
     rows = []
     for value in values:
         age_params = AgeKernelParams(
             age_length_scale=value, age_noise_variance=age_noise_variance
         )
-        weighted = weighted_posterior_cov(model, transformed, ages, age_params)
+        weighted = weighted_posterior_cov(model, transformed, ages, age_params, grams=grams)
         rows.append((value, roc_auc(weighted.variance, labels).auc))
     best_l_y, best_auc = rows[0]
     for value, auc in rows[1:]:

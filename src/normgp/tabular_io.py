@@ -9,10 +9,12 @@ every writer goes through an atomic temp-file-plus-rename.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +36,25 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a uniquely named temp file beside it.
+
+    Two writers of one path never share a temp file, so the path always
+    holds one writer's complete text. On any error the temp file is removed
+    and ``path`` is left as it was.
+    """
     path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    # Exclusive creation of a random name, rather than tempfile.mkstemp, so
+    # the output keeps the umask's permissions instead of mode 0600.
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    handle = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -90,13 +106,14 @@ class CohortSchema:
     """Column-role mapping for cohort CSV files.
 
     Columns not mapped to a role become features, unless an explicit
-    ``feature_columns`` list is given.
+    ``feature_columns`` list is given. The diagnosis role is recognized
+    under any of ``diagnosis_columns``; a file may hold at most one of them.
     """
 
     age_column: str = "age"
     id_column: str = "id"
     sex_column: str = "sex"
-    diagnosis_column: str = "dx"
+    diagnosis_columns: tuple[str, ...] = ("dx", "diagnosis")
     feature_columns: tuple[str, ...] | None = None
 
 
@@ -124,7 +141,7 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
         raise SchemaError(f"{path}: required column {schema.age_column!r} is missing")
 
     role_columns = {schema.age_column, schema.id_column, schema.sex_column,
-                    schema.diagnosis_column}
+                    *schema.diagnosis_columns}
     if schema.feature_columns is not None:
         feature_names = list(schema.feature_columns)
         missing = [name for name in feature_names if name not in header]
@@ -143,7 +160,13 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
     index = {name: header.index(name) for name in header}
     has_id = schema.id_column in header
     has_sex = schema.sex_column in header
-    has_dx = schema.diagnosis_column in header
+    dx_columns = [name for name in schema.diagnosis_columns if name in header]
+    if len(dx_columns) > 1:
+        raise SchemaError(
+            f"{path}: columns {dx_columns[0]!r} and {dx_columns[1]!r} both name the "
+            "diagnosis; keep one"
+        )
+    has_dx = bool(dx_columns)
 
     def cell(parts: list[str], name: str, row_num: int) -> str:
         value = parts[index[name]].strip()
@@ -193,7 +216,7 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
                 )
             sexes.append(sex)
         if has_dx:
-            diagnoses.append(cell(parts, schema.diagnosis_column, row_num))
+            diagnoses.append(cell(parts, dx_columns[0], row_num))
         features.append([numeric(parts, name, row_num) for name in feature_names])
 
     matrix = np.asarray(features, dtype=float) if features else np.empty((0, len(feature_names)))

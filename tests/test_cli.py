@@ -97,6 +97,30 @@ def test_full_pipeline(tmp_path, capsys):
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
 
 
+def test_diagnosis_column_runs_fit_score_and_sweep(tmp_path):
+    train = _synth(tmp_path)
+    test = _synth(tmp_path, name="test.csv", **{"--n-diseased": "20", "--seed": "10"})
+    renamed = tmp_path / "renamed.csv"
+    header, body = test.read_text().split("\n", 1)
+    assert header.split(",")[2] == "dx"
+    renamed.write_text(header.replace(",dx,", ",diagnosis,", 1) + "\n" + body)
+    retrained = tmp_path / "retrained.csv"
+    header, body = train.read_text().split("\n", 1)
+    retrained.write_text(header.replace(",dx,", ",diagnosis,", 1) + "\n" + body)
+    model = _fit(tmp_path, retrained)
+    assert model.read_bytes() == _fit(tmp_path, train, name="dx.normgp").read_bytes()
+    outputs = {}
+    for name, cohort in (("dx", test), ("diagnosis", renamed)):
+        scores = tmp_path / f"scores-{name}.csv"
+        sweep = tmp_path / f"sweep-{name}.csv"
+        assert main(["score", "-q", str(model), str(cohort), "--out", str(scores)]) == 0
+        assert main(["sweep", "-q", str(model), str(cohort), "--out", str(sweep),
+                     "--ly-grid", "10,inf"]) == 0
+        outputs[name] = (scores.read_bytes(), sweep.read_bytes())
+    assert outputs["diagnosis"] == outputs["dx"]
+    assert set(load_scores(tmp_path / "scores-diagnosis.csv").diagnosis) == {"HC", "DX"}
+
+
 def test_score_with_finite_age_scale_differs(tmp_path):
     train = _synth(tmp_path)
     test = _synth(tmp_path, name="test.csv", **{"--seed": "11"})

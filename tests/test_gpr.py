@@ -267,7 +267,7 @@ def test_weighted_cov_matches_dense_oracle():
         x, y, x_test, ages_test, params, form = random_instance(rng)
         age_params = random_age_params(rng)
         model = restore(x, y, params, form)
-        weighted = weighted_posterior_cov(model, x_test, ages_test, age_params)
+        weighted = weighted_posterior_cov(model, x_test, ages_test, age_params, full_cov=True)
         _, cov = naive_posterior(
             x, y, x_test, params, form,
             age_params=age_params, ages_train=y, ages_test=ages_test,
@@ -282,10 +282,75 @@ def test_weighted_equals_unweighted_at_infinite_scale():
     model = restore(x, y, params, form)
     plain = predict(model, x_test, full_cov=True)
     weighted = weighted_posterior_cov(
-        model, x_test, ages_test, AgeKernelParams(age_length_scale=math.inf)
+        model, x_test, ages_test, AgeKernelParams(age_length_scale=math.inf), full_cov=True
     )
     assert np.array_equal(plain.variance, weighted.variance)
     assert np.array_equal(plain.full_cov, weighted.full_cov)
+
+
+def test_weighted_variance_only_is_the_full_cov_diagonal():
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for form in (SUM, PRODUCT):
+        for age_params in (
+            AgeKernelParams(age_length_scale=15.0),
+            AgeKernelParams(age_length_scale=15.0, age_noise_variance=0.2),
+            AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.2),
+        ):
+            for _ in range(5):
+                x, y, x_test, ages_test, params, _ = random_instance(rng)
+                model = restore(x, y, params, form)
+                only = weighted_posterior_cov(model, x_test, ages_test, age_params)
+                full = weighted_posterior_cov(
+                    model, x_test, ages_test, age_params, full_cov=True
+                )
+                assert only.full_cov is None
+                assert np.array_equal(only.variance, np.diagonal(full.full_cov))
+                assert only.jitter == full.jitter
+                _, cov = naive_posterior(
+                    x, y, x_test, params, form,
+                    age_params=age_params, ages_train=y, ages_test=ages_test,
+                )
+                worst = max(worst, float(np.max(np.abs(only.variance - np.diagonal(cov)))))
+    assert worst <= 1e-8
+
+
+def test_weighted_at_infinite_scale_reuses_the_model_factorization():
+    rng = np.random.default_rng(24)
+    for form in (SUM, PRODUCT):
+        x, y, x_test, ages_test, params, _ = random_instance(rng)
+        # Repeated training rows without noise: the model needed jitter.
+        x = np.vstack([x, x, x])
+        y = np.concatenate([y, y + 1.0, y + 2.0])
+        model = restore(x, y, KernelParams(params.length_scales, 0.0), form)
+        assert model.jitter > 0.0
+        weighted = weighted_posterior_cov(model, x_test, ages_test, AgeKernelParams())
+        assert np.array_equal(weighted.variance, predict(model, x_test).variance)
+        assert weighted.jitter == model.jitter
+
+
+@pytest.mark.parametrize("n_features", [50, 200])
+def test_negative_variance_guard_silent_at_realistic_sizes(n_features):
+    # m = 1000 subjects whose features lie near a 3-dimensional subspace,
+    # long length scales and noise 1e-6: a nearly singular training Gram,
+    # scored at training rows and at rows within 1e-3 of them.
+    rng = np.random.default_rng(n_features)
+    m, n_test = 1000, 60
+    latent = rng.normal(size=(m, 3))
+    x = latent @ rng.normal(size=(3, n_features)) + 0.01 * rng.normal(size=(m, n_features))
+    y = rng.uniform(20.0, 80.0, m)
+    rows = rng.choice(m, n_test, replace=False)
+    x_test = x[rows].copy()
+    x_test[n_test // 2 :] += rng.uniform(-1e-3, 1e-3, (n_test - n_test // 2, n_features))
+    params = KernelParams(length_scales=np.full(n_features, 100.0), noise_variance=1e-6)
+    model = restore(x, y, params, SUM)
+    # Either call raises NumericalError if a variance falls below -1e-10.
+    plain = predict(model, x_test).variance
+    weighted = weighted_posterior_cov(
+        model, x_test, y[rows], AgeKernelParams(age_length_scale=10.0)
+    ).variance
+    assert np.all(plain >= 0.0) and np.all(weighted >= 0.0)
+    assert np.all(plain <= n_features) and np.all(weighted <= n_features)
 
 
 def test_age_mismatch_raises_weighted_uncertainty():

@@ -7,7 +7,7 @@ import scipy.stats
 
 from normgp.errors import SchemaError
 from normgp.gpr import restore
-from normgp.kernels import SUM, KernelParams
+from normgp.kernels import PRODUCT, SUM, AgeKernelParams, KernelParams
 from normgp.stats import (
     DEFAULT_LY_GRID,
     evaluate_scores,
@@ -473,6 +473,36 @@ def test_ly_sweep_infinite_value_matches_unweighted_auc():
     expected = roc_auc(variance, labels).auc
     assert abs(result.rows[0][1] - expected) < 1e-12
     assert result.best_l_y == math.inf
+
+
+def test_ly_sweep_matches_fresh_weighted_posteriors_bitwise(monkeypatch):
+    # The sweep builds the feature Grams once; each point must equal a call
+    # that rebuilds everything, including the weighted training diagonal.
+    from normgp import stats
+    from normgp.gpr import weighted_posterior_cov
+
+    model, cohort = _sweep_fixture()
+    labels = np.array([d == "DX" for d in cohort.diagnosis])
+    grid = (1.0, 10.0, 1e5, math.inf)
+    seen = []
+
+    def recording_roc_auc(scores, positive):
+        seen.append(np.array(scores))
+        return roc_auc(scores, positive)
+
+    monkeypatch.setattr(stats, "roc_auc", recording_roc_auc)
+    for form in (SUM, PRODUCT):
+        form_model = restore(model.x, model.y, model.params, form)
+        for age_noise in (0.0, 0.2):
+            seen.clear()
+            result = ly_sweep(form_model, cohort, grid, age_noise_variance=age_noise)
+            for value, row, variance in zip(grid, result.rows, seen):
+                fresh = weighted_posterior_cov(
+                    form_model, cohort.features, cohort.age,
+                    AgeKernelParams(age_length_scale=value, age_noise_variance=age_noise),
+                ).variance
+                assert np.array_equal(variance, fresh)
+                assert row == (value, roc_auc(fresh, labels).auc)
 
 
 def test_ly_sweep_grid_is_deduplicated_and_sorted():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from normgp.errors import (
 from normgp.gpr import FitConfig, fit, predict, restore
 from normgp.kernels import SUM, KernelParams
 from normgp.preprocess import fit_pca, fit_standardizer
+from normgp import tabular_io
 from normgp.tabular_io import (
     Cohort,
     CohortSchema,
@@ -46,6 +48,16 @@ def test_load_cohort_with_all_roles(tmp_path):
     assert cohort.diagnosis == ("HC", "AD", "HC")
     assert np.array_equal(cohort.age, [61.0, 72.5, 59.0])
     assert np.array_equal(cohort.features[:, 0], [0.5, -0.25, 0.125])
+
+
+def test_diagnosis_role_recognized_under_either_name(tmp_path):
+    body = "a,61,HC,0.5\nb,72.5,AD,-0.25\n"
+    for column in ("dx", "diagnosis"):
+        cohort = load_cohort(write(tmp_path / f"{column}.csv", f"id,age,{column},v1\n{body}"))
+        assert cohort.diagnosis == ("HC", "AD")
+        assert cohort.feature_names == ("v1",)
+    with pytest.raises(SchemaError, match="'dx' and 'diagnosis'"):
+        load_cohort(write(tmp_path / "both.csv", "age,dx,diagnosis,v1\n61,HC,HC,0.5\n"))
 
 
 def test_non_numeric_age_names_row_and_column(tmp_path):
@@ -320,3 +332,38 @@ def test_artifact_dimension_validation():
     )
     with pytest.raises(ValueError):
         save_model(future, "/tmp/never-written.gp")
+
+
+def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    # A lone surrogate cannot be encoded, so the write fails midway.
+    with pytest.raises(UnicodeEncodeError):
+        tabular_io._atomic_write_text(target, "new\ud800\n")
+    assert target.read_text() == "old\n"
+    # A directory in the way makes the final rename fail.
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    with pytest.raises(OSError):
+        tabular_io._atomic_write_text(blocked, "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "out.csv"]
+
+
+def test_atomic_writers_of_one_path_do_not_collide(tmp_path, monkeypatch):
+    # A second writer runs to completion while the first sits between
+    # writing its temp file and renaming it: both must land, last one wins.
+    target = tmp_path / "out.csv"
+    real_replace = os.replace
+    calls = []
+
+    def interleaved_replace(src, dst):
+        calls.append(src)
+        if len(calls) == 1:
+            tabular_io._atomic_write_text(target, "second\n")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(tabular_io.os, "replace", interleaved_replace)
+    tabular_io._atomic_write_text(target, "first\n")
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert target.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
