@@ -1,7 +1,9 @@
 """Exact Gaussian process age regression.
 
 Training maximizes the log marginal likelihood with analytic gradients,
-using multi-start L-BFGS-B in log-parameter space. Inference goes through
+using multi-start L-BFGS-B in log-parameter space. The training rows' pair
+distances are built once per fit; the gradient's K^-1 comes from the
+Cholesky factor through LAPACK ``dpotri``. Inference goes through
 a cached Cholesky factorization of the training Gram matrix — never an
 explicit inverse. The age-weighted posterior variance reweights the
 unweighted feature Gram blocks by an age factor, reusing the fitted
@@ -17,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from .errors import ConditioningError, NumericalError
 from .kernels import (
@@ -26,6 +28,7 @@ from .kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
+    PairDistances,
     age_factor,
     gram_matrix,
     prior_variance,
@@ -188,8 +191,8 @@ class FeatureGrams:
     """Unweighted feature-kernel blocks of test rows against a model's training rows.
 
     ``cross`` is test-by-training; ``train`` is training-by-training without
-    the delta terms (``None`` when only the model's own factorization is
-    needed). The age-weighted kernel multiplies these by an age factor, so
+    the delta terms (``None`` leaves it to be built when an age weighting
+    needs it). The age-weighted kernel multiplies these by an age factor, so
     one pair serves every age length scale for the same test rows.
     """
 
@@ -236,53 +239,39 @@ def _lml_value(chol: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
 
 def _lml_and_gradient(
     theta: np.ndarray,
-    x: np.ndarray,
+    distances: PairDistances,
     y: np.ndarray,
     form: str,
     initial_jitter_factor: float,
     max_jitter_factor: float,
+    workspace: tuple,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and gradient over (log l_1..log l_K, log noise).
 
+    ``workspace`` is the caller's own, from ``distances.workspace(form)``.
     Raises ConditioningError when the Gram matrix cannot be factorized.
     """
-    m, n_features = x.shape
+    n_features = distances.squared.shape[0]
     params = _params_from_log(theta, n_features)
-    lengths = params.length_scales
-    squared = [np.square(x[:, dim, None] - x[None, :, dim]) for dim in range(n_features)]
-    shared = None
-    if form == SUM:
-        kmat = np.zeros((m, m))
-        for dim in range(n_features):
-            kmat += np.exp(squared[dim] / (-2.0 * lengths[dim] ** 2))
-    else:
-        q = np.zeros((m, m))
-        for dim in range(n_features):
-            q += squared[dim] / (2.0 * lengths[dim] ** 2)
-        shared = np.exp(-q)
-        kmat = shared.copy()
-    kmat[np.diag_indices(m)] += params.noise_variance
-
     chol, _ = stable_cholesky(
-        kmat,
+        distances.gram(params, form, workspace),
         initial_jitter_factor=initial_jitter_factor,
         max_jitter_factor=max_jitter_factor,
     )
     alpha = cho_solve((chol, True), y, check_finite=False)
     value = _lml_value(chol, alpha, y)
 
-    k_inv = cho_solve((chol, True), np.eye(m), check_finite=False)
-    a_mat = np.outer(alpha, alpha) - k_inv
+    # K^-1 from the factor (GPML eq. 5.9); dpotri fills its lower triangle only.
+    k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
+    # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
+    # so the two triangles' halves add up to one sum over the lower pairs.
+    weights = alpha[distances.rows] * alpha[distances.cols]
+    weights -= k_inv[distances.rows, distances.cols]
     grad = np.empty(n_features + 1)
-    for dim in range(n_features):
-        if form == SUM:
-            e_dim = np.exp(squared[dim] / (-2.0 * lengths[dim] ** 2))
-        else:
-            e_dim = shared
-        grad[dim] = 0.5 * float(np.sum(a_mat * (e_dim * squared[dim]))) / lengths[dim] ** 2
-    grad[n_features] = (
-        0.5 * params.noise_variance * (float(alpha @ alpha) - float(np.trace(k_inv)))
-    )
+    grad[:n_features] = distances.gradient(weights, params, form, workspace)
+    grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
     return value, grad
 
 
@@ -298,14 +287,10 @@ def log_marginal_likelihood(
     """Log marginal likelihood -1/2 y'K^-1 y - 1/2 log|K| - (m/2) log 2pi."""
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
-    kmat = gram_matrix(x, x, params, form, same_set=True)
-    chol, _ = stable_cholesky(
-        kmat,
-        initial_jitter_factor=initial_jitter_factor,
-        max_jitter_factor=max_jitter_factor,
+    model = _assemble_model(
+        x, y, y, 0.0, params, form, initial_jitter_factor, max_jitter_factor, None, 0
     )
-    alpha = cho_solve((chol, True), y, check_finite=False)
-    return _lml_value(chol, alpha, y)
+    return model.log_marginal_likelihood
 
 
 def lml_gradient(
@@ -322,8 +307,10 @@ def lml_gradient(
         raise ValueError(f"unknown kernel form {form!r}")
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
+    distances = PairDistances(x)
     _, grad = _lml_and_gradient(
-        _log_params(params), x, y, form, initial_jitter_factor, max_jitter_factor
+        _log_params(params), distances, y, form, initial_jitter_factor, max_jitter_factor,
+        distances.workspace(form),
     )
     return grad
 
@@ -428,13 +415,19 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
         inits.append(np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND))
 
     bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
+    distances = PairDistances(x)
+    # Imported here: scipy.optimize is slow to load and only training needs it.
+    # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
+    from scipy import optimize
 
     def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
+        workspace = distances.workspace(cfg.form)
+
         def objective(theta):
             try:
                 value, grad = _lml_and_gradient(
-                    theta, x, centered, cfg.form,
-                    cfg.initial_jitter_factor, cfg.max_jitter_factor,
+                    theta, distances, centered, cfg.form,
+                    cfg.initial_jitter_factor, cfg.max_jitter_factor, workspace,
                 )
             except ConditioningError:
                 return _FAILURE_OBJECTIVE, np.zeros_like(theta)
@@ -521,17 +514,33 @@ def _posterior_variance(
     return np.where(raw < 0.0, 0.0, raw), v
 
 
-def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> PredictionResult:
+def _cross_block(model: TrainedModel, xt: np.ndarray, grams: FeatureGrams | None) -> np.ndarray:
+    if grams is None:
+        return gram_matrix(xt, model.x, model.params, model.form)
+    if grams.cross.shape != (xt.shape[0], model.n_training):
+        raise ValueError("grams were built for a different test set or model")
+    return grams.cross
+
+
+def predict(
+    model: TrainedModel,
+    x_test,
+    *,
+    full_cov: bool = False,
+    grams: FeatureGrams | None = None,
+) -> PredictionResult:
     """Predictive mean and posterior (co)variance at new feature rows.
 
     The test-test prior is the noise-free kernel value k(x*, x*): the noise
     delta applies only inside the training Gram matrix, so for one training
     and one test point the variance is k(x*,x*) - k*^2/(k(x,x) + noise).
     When ``full_cov`` is requested its diagonal is set to the clamped
-    variance vector exactly.
+    variance vector exactly. ``grams`` passes the cross block from
+    ``feature_grams`` for the same ``x_test``, as for
+    ``weighted_posterior_cov``.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
-    k_star = gram_matrix(xt, model.x, model.params, model.form)
+    k_star = _cross_block(model, xt, grams)
     y_hat = k_star @ model.alpha + model.y_offset
     variance, v = _posterior_variance(
         model.chol, k_star, zero_distance_value(model.params, model.form)
@@ -545,7 +554,7 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
 
 
 def feature_grams(model: TrainedModel, x_test, *, train: bool = True) -> FeatureGrams:
-    """Feature Gram blocks for repeated ``weighted_posterior_cov`` calls on ``x_test``."""
+    """Feature Gram blocks for repeated posterior calls on ``x_test``."""
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     return FeatureGrams(
         cross=gram_matrix(xt, model.x, model.params, model.form),
@@ -585,25 +594,23 @@ def weighted_posterior_cov(
     if not np.all(np.isfinite(ages)):
         raise ValueError("test ages must be finite")
     unweighted = math.isinf(age_params.age_length_scale)
-    reuse_model = unweighted and age_params.age_noise_variance == 0.0
-    if grams is None:
-        grams = feature_grams(model, xt, train=not reuse_model)
-    elif grams.cross.shape != (xt.shape[0], model.n_training):
-        raise ValueError("grams were built for a different test set or model")
-    if reuse_model:
+    k_star = _cross_block(model, xt, grams)
+    if unweighted and age_params.age_noise_variance == 0.0:
         chol, jitter = model.chol, model.jitter
     else:
-        if grams.train is None:
-            raise ValueError("grams lack the training block this age weighting needs")
-        k_train = grams.train * age_factor(model.y, model.y, age_params)
+        k_train = grams.train if grams is not None else None
+        if k_train is None:
+            k_train = gram_matrix(model.x, model.x, model.params, model.form)
+        k_train = np.multiply(age_factor(model.y, model.y, age_params), k_train)
         np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
         chol, jitter = stable_cholesky(
             k_train,
             initial_jitter_factor=model.initial_jitter_factor,
             max_jitter_factor=model.max_jitter_factor,
         )
-    # At l_y = inf the age factor is exactly one, so the multiply is skipped.
-    k_star = grams.cross if unweighted else grams.cross * age_factor(ages, model.y, age_params)
+    if not unweighted:  # at l_y = inf the age factor is exactly one
+        factor = age_factor(ages, model.y, age_params)
+        k_star = np.multiply(factor, k_star, out=factor)
     variance, v = _posterior_variance(
         chol, k_star, zero_distance_value(model.params, model.form)
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -107,19 +108,38 @@ def prior_variance(
     return value
 
 
-def age_factor(
-    ages_a: np.ndarray, ages_b: np.ndarray, age_params: AgeKernelParams
-) -> np.ndarray:
+def age_factor(ages_a, ages_b, age_params: AgeKernelParams, out=None) -> np.ndarray:
     """Age-similarity factor ``exp(-(y_i - y_j)^2 / (2 l_y^2))`` without the delta term.
 
     The age-weighted Gram block is the unweighted feature block times this
     factor, so a feature block can be built once and reweighted for any
     ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 (``exp(-0.0)``),
-    so the multiply is an exact no-op.
+    so the multiply is an exact no-op. ``out`` receives the factor in place.
     """
-    dy = ages_a[:, None] - ages_b[None, :]
+    dy = np.subtract(ages_a[:, None], ages_b[None, :], out=out)
     ly = age_params.age_length_scale
-    return np.exp(dy * dy / (-2.0 * ly * ly))
+    np.multiply(dy, dy, out=dy)
+    np.divide(dy, -2.0 * ly * ly, out=dy)
+    return np.exp(dy, out=dy)
+
+
+def _feature_kernel(form, squared, length_scales, out, terms):
+    """The feature kernel from per-feature squared distances ``S_k``, into ``out``.
+
+    The one place each form's formula lives. Feature k's term
+    ``-S_k / (2 l_k^2)`` goes into ``terms[k]`` (which may be the array
+    ``squared`` yielded) and, for the sum form, is exponentiated there.
+    ``squared`` is consumed one feature at a time, so it may be a generator.
+    """
+    out.fill(0.0)
+    for sq, term, ls in zip(squared, terms, length_scales):
+        np.divide(sq, -2.0 * ls * ls, out=term)
+        if form == SUM:
+            np.exp(term, out=term)
+        out += term
+    if form == PRODUCT:
+        np.exp(out, out=out)
+    return out
 
 
 def gram_matrix(
@@ -142,7 +162,7 @@ def gram_matrix(
 
     Distances are accumulated per feature dimension, never through a
     squared-norm expansion, so near-duplicate rows do not cancel
-    catastrophically.
+    catastrophically. Besides the result, one scratch block is alive.
     """
     _check_form(form)
     a = _as_matrix(a, params.n_features, "a")
@@ -152,25 +172,22 @@ def gram_matrix(
     if age_params is None and (ages_a is not None or ages_b is not None):
         raise ValueError("ages were supplied but no age_params; unweighted kernels ignore ages")
 
-    ls = params.length_scales
-    if form == SUM:
-        k = np.zeros((a.shape[0], b.shape[0]))
+    scratch = np.empty((a.shape[0], b.shape[0]))
+
+    def squared():
         for dim in range(params.n_features):
-            d = a[:, dim, None] - b[None, :, dim]
-            k += np.exp(d * d / (-2.0 * ls[dim] * ls[dim]))
-    else:
-        q = np.zeros((a.shape[0], b.shape[0]))
-        for dim in range(params.n_features):
-            d = a[:, dim, None] - b[None, :, dim]
-            q += d * d / (2.0 * ls[dim] * ls[dim])
-        k = np.exp(-q)
+            np.subtract(a[:, dim, None], b[None, :, dim], out=scratch)
+            yield np.multiply(scratch, scratch, out=scratch)
+
+    k = _feature_kernel(form, squared(), params.length_scales, np.empty_like(scratch),
+                        repeat(scratch))
 
     if age_params is not None:
         ya = np.atleast_1d(np.asarray(ages_a, dtype=float))
         yb = np.atleast_1d(np.asarray(ages_b, dtype=float))
         if ya.shape[0] != a.shape[0] or yb.shape[0] != b.shape[0]:
             raise ValueError("age vectors must match the corresponding row counts")
-        k *= age_factor(ya, yb, age_params)
+        k *= age_factor(ya, yb, age_params, out=scratch)
 
     if same_set:
         if a.shape[0] != b.shape[0]:
@@ -179,60 +196,48 @@ def gram_matrix(
     return k
 
 
-def kernel_value(
-    x_i,
-    x_j,
-    params: KernelParams,
-    *,
-    same_sample: bool = False,
-    form: str = SUM,
-) -> float:
-    """Kernel between two feature vectors.
+class PairDistances:
+    """Per-feature squared distances ``S_k`` between the rows ``i > j`` of ``x``.
 
-    ``same_sample=True`` means i and j index the identical sample, adding
-    the noise-variance delta term.
+    They do not depend on the hyperparameters, so a fit builds them once and
+    its optimizer restarts share them read-only, each through its own
+    ``workspace``. A same-set Gram matrix needs only its strict lower
+    triangle and known diagonal, which halves storage and kernel work.
     """
-    k = gram_matrix(np.atleast_2d(x_i), np.atleast_2d(x_j), params, form)
-    value = float(k[0, 0])
-    if same_sample:
-        value += params.noise_variance
-    return value
 
+    def __init__(self, x: np.ndarray):
+        self.n_rows, n_features = x.shape
+        self.rows, self.cols = np.tril_indices(self.n_rows, -1)
+        self.squared = np.empty((n_features, self.rows.size))
+        for dim, out in enumerate(self.squared):
+            np.subtract(x[self.rows, dim], x[self.cols, dim], out=out)
+            np.multiply(out, out, out=out)
 
-def age_similarity(
-    y_i: float,
-    y_j: float,
-    params: AgeKernelParams,
-    *,
-    same_sample: bool = False,
-) -> float:
-    """Age-similarity factor between two chronological ages."""
-    for y in (y_i, y_j):
-        if not math.isfinite(y):
-            raise ValueError("ages must be finite")
-    d = float(y_i) - float(y_j)
-    ly = params.age_length_scale
-    s = math.exp(d * d / (-2.0 * ly * ly))
-    if same_sample:
-        s += params.age_noise_variance
-    return s
+    def workspace(self, form: str) -> tuple:
+        """One thread's buffers: the pair kernel, and each feature's term for the sum form."""
+        n_pairs = self.rows.size
+        terms = np.empty(self.squared.shape) if form == SUM else repeat(np.empty(n_pairs))
+        return np.empty(n_pairs), terms
 
+    def gram(self, params: KernelParams, form: str, workspace: tuple) -> np.ndarray:
+        """Same-set Gram matrix, zero above the diagonal: a lower Cholesky reads no more."""
+        kernel, terms = workspace
+        _feature_kernel(form, self.squared, params.length_scales, kernel, terms)
+        k = np.zeros((self.n_rows, self.n_rows))
+        k[self.rows, self.cols] = kernel
+        np.fill_diagonal(k, prior_variance(params, form))
+        return k
 
-def weighted_kernel_value(
-    x_i,
-    x_j,
-    y_i: float,
-    y_j: float,
-    params: KernelParams,
-    age_params: AgeKernelParams,
-    *,
-    same_sample: bool = False,
-    form: str = SUM,
-) -> float:
-    """Age-weighted kernel ``s(y_i, y_j) * k(x_i, x_j)``.
+    def gradient(self, weights, params: KernelParams, form: str, workspace: tuple):
+        """``sum_p weights[p] * dk_p / dlog l_k`` for each length scale ``l_k``.
 
-    The same-sample flag applies consistently to both factors.
-    """
-    return age_similarity(y_i, y_j, age_params, same_sample=same_sample) * kernel_value(
-        x_i, x_j, params, same_sample=same_sample, form=form
-    )
+        ``workspace`` must be as the last ``gram`` at ``params`` left it;
+        this overwrites its terms. ``dk / dlog l_k`` is ``S_k / l_k^2`` times
+        the feature's exponential (sum form) or the whole kernel (product).
+        """
+        kernel, terms = workspace
+        if form == SUM:
+            sums = np.multiply(terms, self.squared, out=terms) @ weights
+        else:
+            sums = self.squared @ (weights * kernel)
+        return sums / (params.length_scales * params.length_scales)

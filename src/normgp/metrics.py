@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .gpr import FitConfig, TrainedModel, fit, predict, weighted_posterior_cov
+from .gpr import FitConfig, TrainedModel, feature_grams, fit, predict, weighted_posterior_cov
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
 from .seeding import FOLDS, substream
@@ -88,8 +88,10 @@ def score_cohort(
             f"the model's {list(expected_feature_names)}"
         )
     transformed = apply_chain(cohort.features, standardizer, pca)
-    result = predict(model, transformed)
-    weighted = weighted_posterior_cov(model, transformed, cohort.age, age_params)
+    # One test-by-training block serves both posteriors.
+    grams = feature_grams(model, transformed, train=False)
+    result = predict(model, transformed, grams=grams)
+    weighted = weighted_posterior_cov(model, transformed, cohort.age, age_params, grams=grams)
     return AnomalyScores(
         epsilon=prediction_error(result.y_hat, cohort.age),
         cov_score=result.variance,

@@ -59,10 +59,6 @@ def fit_standardizer(train_features) -> Standardizer:
     return Standardizer(means=means, std_devs=stds)
 
 
-def apply_standardizer(standardizer: Standardizer, features) -> np.ndarray:
-    return standardizer.apply(features)
-
-
 @dataclass(frozen=True)
 class PcaTransform:
     """Principal-component projection fitted by SVD of the centered matrix.
@@ -96,10 +92,6 @@ class PcaTransform:
             )
         return (x - self.mean) @ self.components.T
 
-    def reconstruct(self, projected) -> np.ndarray:
-        z = np.asarray(projected, dtype=float)
-        return z @ self.components + self.mean
-
 
 def fit_pca(train_features, n_components: int) -> PcaTransform:
     """Fit a PCA on training rows via SVD of the centered matrix."""
@@ -120,10 +112,6 @@ def fit_pca(train_features, n_components: int) -> PcaTransform:
             row *= -1.0
     explained = (singular_values[:n_components] ** 2) / n
     return PcaTransform(mean=mean, components=components, explained_variance=explained)
-
-
-def project_pca(pca: PcaTransform, features) -> np.ndarray:
-    return pca.project(features)
 
 
 def apply_chain(

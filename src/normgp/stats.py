@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .errors import SchemaError
 from .gpr import TrainedModel, feature_grams, weighted_posterior_cov
@@ -206,6 +205,9 @@ def fit_fixed_effects(volume, age, sex, dx) -> FixedEffectsFit:
     errors use the n - 5 residual degrees of freedom; p-values are
     two-sided t-tests.
     """
+    # Imported here: scipy.stats is slow to load and nothing else needs it.
+    from scipy.stats import t as student_t
+
     volume = np.asarray(volume, dtype=float).reshape(-1)
     age = np.asarray(age, dtype=float).reshape(-1)
     sex = np.asarray(sex, dtype=float).reshape(-1)

@@ -290,6 +290,17 @@ def test_module_entrypoint_help():
         assert command in result.stdout
 
 
+def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
+    # only fit needs the optimizer and only fixed effects need scipy.stats
+    code = (
+        "import sys, normgp.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1,14 +1,24 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import naive_lml, naive_posterior, random_age_params, random_instance
+from conftest import (
+    naive_gram,
+    naive_kernel_value,
+    naive_lml,
+    naive_posterior,
+    random_age_params,
+    random_instance,
+)
 from normgp.errors import ConditioningError, NumericalError
 from normgp.gpr import (
     FitConfig,
     TrainedModel,
+    _lml_and_gradient,
     _posterior_variance,
+    feature_grams,
     fit,
     lml_gradient,
     log_marginal_likelihood,
@@ -17,7 +27,14 @@ from normgp.gpr import (
     stable_cholesky,
     weighted_posterior_cov,
 )
-from normgp.kernels import PRODUCT, SUM, AgeKernelParams, KernelParams
+from normgp.kernels import (
+    PRODUCT,
+    SUM,
+    AgeKernelParams,
+    KernelParams,
+    PairDistances,
+    gram_matrix,
+)
 
 
 def test_lml_single_point_closed_form():
@@ -78,6 +95,88 @@ def test_gradient_matches_finite_differences_8x3():
         numeric = _fd_gradient(params, form, x, y)
         for a, n in zip(analytic, numeric):
             assert abs(a - n) <= max(1e-7, 1e-4 * abs(n))
+
+
+def _dense_gradient(params, form, x, y):
+    """0.5 tr((aa' - K^-1) dK/dlog theta) from full matrices and an explicit inverse."""
+    k = naive_gram(x, x, params, form, same_set=True)
+    k_inv = np.linalg.inv(k)
+    alpha = k_inv @ y
+    outer = np.outer(alpha, alpha) - k_inv
+    feature_k = k - params.noise_variance * np.eye(x.shape[0])
+    grad = []
+    for dim, ls in enumerate(params.length_scales):
+        sq = (x[:, dim, None] - x[None, :, dim]) ** 2
+        factor = np.exp(-sq / (2.0 * ls**2)) if form == SUM else feature_k
+        grad.append(0.5 * np.sum(outer * factor * sq) / ls**2)
+    grad.append(0.5 * params.noise_variance * np.trace(outer))
+    return np.array(grad)
+
+
+@pytest.mark.parametrize("form", [SUM, PRODUCT])
+def test_shared_distances_evaluation_matches_public_lml_and_gradient(form):
+    # one PairDistances and one workspace serve a sequence of evaluations,
+    # as in an optimizer restart; buffer reuse must not leak between them
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(14, 4))
+    y = rng.uniform(20, 80, 14) - 50.0
+    distances = PairDistances(x)
+    workspace = distances.workspace(form)
+    for _ in range(4):
+        params = KernelParams(
+            length_scales=rng.uniform(0.3, 3.0, 4), noise_variance=float(rng.uniform(0.05, 2))
+        )
+        theta = np.log(np.append(params.length_scales, params.noise_variance))
+        value, grad = _lml_and_gradient(theta, distances, y, form, 1e-10, 1e-4, workspace)
+        assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
+        public = lml_gradient(params, form, x, y)
+        assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
+        dense = _dense_gradient(params, form, x, y)
+        assert np.allclose(grad, dense, rtol=1e-8, atol=1e-8 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("form", [SUM, PRODUCT])
+def test_shared_distances_evaluation_matches_public_functions_when_jittered(form):
+    # duplicate rows and zero noise make the Gram matrix singular, so both
+    # paths must take the same jitter step
+    rng = np.random.default_rng(22)
+    base = rng.normal(size=(6, 3))
+    x = np.vstack([base, base[:3]])
+    y = rng.uniform(20, 80, 9) - 50.0
+    params = KernelParams(length_scales=np.array([0.8, 1.5, 1.1]), noise_variance=0.0)
+    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    assert jitter > 0.0
+    distances = PairDistances(x)
+    with np.errstate(divide="ignore"):
+        theta = np.log(np.append(params.length_scales, 0.0))
+    value, grad = _lml_and_gradient(
+        theta, distances, y, form, 1e-10, 1e-4, distances.workspace(form)
+    )
+    assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
+    public = lml_gradient(params, form, x, y)
+    assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
+    assert grad[-1] == 0.0
+
+
+def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
+    # a factor with a zero pivot cannot be inverted: dpotri reports it, and
+    # the optimizer's objective treats ConditioningError as a failed point
+    import normgp.gpr as gpr
+
+    def singular_factor(matrix, **_):
+        chol = np.linalg.cholesky(matrix)
+        chol[1, 1] = 0.0
+        return np.asfortranarray(chol), 0.0
+
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(5, 2))
+    distances = PairDistances(x)
+    monkeypatch.setattr(gpr, "stable_cholesky", singular_factor)
+    with np.errstate(all="ignore"), pytest.raises(ConditioningError, match="info"):
+        _lml_and_gradient(
+            np.zeros(3), distances, rng.normal(size=5), SUM, 1e-10, 1e-4,
+            distances.workspace(SUM),
+        )
 
 
 def test_gradient_of_constant_feature_is_zero_for_product_form():
@@ -150,6 +249,27 @@ def test_fit_thread_cap_does_not_change_result(monkeypatch):
     assert np.array_equal(serial.params.length_scales, threaded.params.length_scales)
     assert serial.params.noise_variance == threaded.params.noise_variance
     assert serial.chosen_restart == threaded.chosen_restart
+
+
+def test_restart_threads_sharing_pair_distances_match_a_serial_fit(monkeypatch):
+    # more threads than cores and frequent switches: restarts share the pair
+    # distances, so any buffer one thread wrote under another would show here
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(24, 3))
+    y = rng.uniform(20, 80, 24)
+    for form in (SUM, PRODUCT):
+        config = FitConfig(form=form, restarts=4, seed=5, max_iterations=15)
+        monkeypatch.setenv("NORMATIVE_GP_THREADS", "1")
+        serial = fit(x, y, config)
+        monkeypatch.setenv("NORMATIVE_GP_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threaded = fit(x, y, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.restart_log_marginals == serial.restart_log_marginals
+        assert np.array_equal(threaded.params.length_scales, serial.params.length_scales)
 
 
 def test_thread_env_var_validation(monkeypatch):
@@ -234,17 +354,15 @@ def test_predict_interpolates_training_point_without_noise():
 
 
 def test_predict_single_train_point_closed_form():
-    from normgp.kernels import kernel_value
-
     for form in (SUM, PRODUCT):
         params = KernelParams(length_scales=np.array([1.3, 0.7]), noise_variance=0.25)
         x = np.array([[0.2, -0.4]])
         x_test = np.array([[0.5, 0.1]])
         model = restore(x, np.array([50.0]), params, form)
         result = predict(model, x_test, full_cov=True)
-        k_star = kernel_value(x_test[0], x[0], params, form=form)
-        k_xx = kernel_value(x[0], x[0], params, same_sample=True, form=form)
-        k_ss = kernel_value(x_test[0], x_test[0], params, form=form)
+        k_star = naive_kernel_value(x_test[0], x[0], params, form)
+        k_xx = naive_kernel_value(x[0], x[0], params, form, same_sample=True)
+        k_ss = naive_kernel_value(x_test[0], x_test[0], params, form)
         assert result.y_hat[0] == pytest.approx(k_star / k_xx * 50.0, abs=1e-12)
         assert result.variance[0] == pytest.approx(k_ss - k_star**2 / k_xx, abs=1e-12)
 
@@ -259,6 +377,23 @@ def test_predict_matches_dense_oracle():
         assert np.allclose(result.y_hat, mean, atol=1e-8)
         assert np.allclose(result.variance, np.diagonal(cov), atol=1e-8)
         assert np.allclose(result.full_cov, cov, atol=1e-8)
+
+
+def test_shared_grams_leave_predict_and_weighted_variance_bitwise_unchanged():
+    rng = np.random.default_rng(23)
+    x, y, x_test, ages_test, params, form = random_instance(rng, max_train=20, max_test=9)
+    model = restore(x, y, params, form)
+    grams = feature_grams(model, x_test, train=False)
+    shared = predict(model, x_test, grams=grams)
+    own = predict(model, x_test)
+    assert np.array_equal(shared.y_hat, own.y_hat)
+    assert np.array_equal(shared.variance, own.variance)
+    for age_params in (AgeKernelParams(), AgeKernelParams(7.0, 0.1)):
+        weighted = weighted_posterior_cov(model, x_test, ages_test, age_params, grams=grams)
+        fresh = weighted_posterior_cov(model, x_test, ages_test, age_params)
+        assert np.array_equal(weighted.variance, fresh.variance)
+    with pytest.raises(ValueError, match="different test set"):
+        predict(model, np.vstack([x_test, x_test]), grams=grams)
 
 
 def test_weighted_cov_matches_dense_oracle():

@@ -1,50 +1,61 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_gram
+from conftest import naive_age_similarity, naive_gram, naive_kernel_value
 from normgp.kernels import (
     FORMS,
     PRODUCT,
     SUM,
     AgeKernelParams,
     KernelParams,
-    age_similarity,
+    PairDistances,
     gram_matrix,
-    kernel_value,
     prior_variance,
-    weighted_kernel_value,
     zero_distance_value,
 )
+
+
+def kernel_entry(x_i, x_j, params, form=SUM, age_params=None, y_i=None, y_j=None):
+    """One cross-block entry of ``gram_matrix``: the kernel between two rows."""
+    ages = {} if age_params is None else {"ages_a": [y_i], "ages_b": [y_j]}
+    block = gram_matrix(
+        np.atleast_2d(x_i), np.atleast_2d(x_j), params, form, age_params=age_params, **ages
+    )
+    return float(block[0, 0])
 
 
 def test_zero_distance_sum_form_counts_features():
     params = KernelParams(length_scales=np.ones(3))
     x = np.array([0.4, -1.2, 3.3])
-    assert kernel_value(x, x, params, form=SUM) == pytest.approx(3.0, abs=1e-15)
+    assert kernel_entry(x, x, params, SUM) == pytest.approx(3.0, abs=1e-15)
+    assert kernel_entry(x, x, params, SUM) == naive_kernel_value(x, x, params, SUM)
 
 
 def test_same_sample_adds_noise_variance():
     params = KernelParams(length_scales=np.ones(3), noise_variance=0.25)
     x = np.array([0.4, -1.2, 3.3])
-    assert kernel_value(x, x, params, same_sample=True, form=SUM) == pytest.approx(
-        3.25, abs=1e-15
-    )
-    # the delta term applies for any inputs flagged as the same sample
     z = x + 1.0
-    raw = kernel_value(x, z, params, form=SUM)
-    assert kernel_value(x, z, params, same_sample=True, form=SUM) == pytest.approx(
-        raw + 0.25, abs=1e-15
+    # rows 0 and 1 are equal values but distinct samples: the delta term is
+    # indexed by sample identity, so only the diagonal carries the noise
+    gram = gram_matrix(np.stack([x, x, z]), np.stack([x, x, z]), params, SUM, same_set=True)
+    assert np.allclose(np.diagonal(gram), 3.25, rtol=0.0, atol=1e-15)
+    assert gram[0, 1] == pytest.approx(3.0, abs=1e-15)
+    raw = naive_kernel_value(x, z, params, SUM)
+    assert gram[0, 2] == pytest.approx(raw, abs=1e-15)
+    assert gram[2, 2] == pytest.approx(
+        naive_kernel_value(z, z, params, SUM, same_sample=True), abs=1e-15
     )
 
 
 @pytest.mark.parametrize("form", FORMS)
 def test_unit_length_scale_distance_closed_form(form):
     params = KernelParams(length_scales=np.array([2.0]))
-    value = kernel_value(np.array([0.0]), np.array([2.0]), params, form=form)
+    value = kernel_entry(np.array([0.0]), np.array([2.0]), params, form)
     assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert value == pytest.approx(0.60653, abs=1e-4)
 
@@ -52,15 +63,15 @@ def test_unit_length_scale_distance_closed_form(form):
 def test_product_form_zero_distance_is_one():
     params = KernelParams(length_scales=np.array([1.0, 5.0]))
     x = np.array([1.0, 2.0])
-    assert kernel_value(x, x, params, form=PRODUCT) == 1.0
+    assert kernel_entry(x, x, params, PRODUCT) == 1.0
 
 
 def test_kernel_dimension_mismatch():
     params = KernelParams(length_scales=np.ones(2))
     with pytest.raises(ValueError):
-        kernel_value(np.ones(3), np.ones(3), params)
+        kernel_entry(np.ones(3), np.ones(3), params)
     with pytest.raises(ValueError):
-        kernel_value(np.ones(2), np.ones(3), params)
+        kernel_entry(np.ones(2), np.ones(3), params)
 
 
 def test_kernel_params_validation():
@@ -75,15 +86,27 @@ def test_kernel_params_validation():
 
 
 def test_age_similarity_examples():
+    # one feature at zero distance has kernel 1, so the weighted entry is
+    # the age-similarity factor itself
+    one = KernelParams(length_scales=np.ones(1))
+    x = np.zeros(1)
     params = AgeKernelParams(age_length_scale=10.0)
-    assert age_similarity(43.0, 43.0, params) == 1.0
-    assert age_similarity(40.0, 50.0, params) == pytest.approx(math.exp(-0.5), abs=1e-12)
-    infinite = AgeKernelParams(age_length_scale=math.inf)
-    assert age_similarity(20.0, 80.0, infinite) == 1.0
-    noisy = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.3)
-    assert age_similarity(20.0, 80.0, noisy, same_sample=True) == pytest.approx(
-        1.3, abs=1e-15
+    assert kernel_entry(x, x, one, SUM, params, 43.0, 43.0) == 1.0
+    assert kernel_entry(x, x, one, SUM, params, 40.0, 50.0) == pytest.approx(
+        math.exp(-0.5), abs=1e-12
     )
+    assert kernel_entry(x, x, one, SUM, params, 40.0, 50.0) == pytest.approx(
+        naive_age_similarity(40.0, 50.0, params), abs=1e-15
+    )
+    infinite = AgeKernelParams(age_length_scale=math.inf)
+    assert kernel_entry(x, x, one, SUM, infinite, 20.0, 80.0) == 1.0
+    noisy = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.3)
+    same = gram_matrix(
+        np.zeros((2, 1)), np.zeros((2, 1)), one, SUM,
+        age_params=noisy, ages_a=[20.0, 80.0], ages_b=[20.0, 80.0], same_set=True,
+    )
+    assert np.allclose(np.diagonal(same), 1.3, rtol=0.0, atol=1e-15)
+    assert same[0, 1] == 1.0
 
 
 def test_age_params_validation():
@@ -98,11 +121,10 @@ def test_age_params_validation():
 def test_weighted_kernel_equal_ages_is_identity():
     kp = KernelParams(length_scales=np.array([1.5, 0.5]), noise_variance=0.1)
     ap = AgeKernelParams(age_length_scale=7.0)
-    x_i = np.array([0.3, -0.7])
-    x_j = np.array([1.1, 0.2])
-    assert weighted_kernel_value(x_i, x_j, 55.0, 55.0, kp, ap) == kernel_value(
-        x_i, x_j, kp
-    )
+    a = np.array([[0.3, -0.7], [2.0, 0.4]])
+    b = np.array([[1.1, 0.2], [-0.5, 0.9], [0.3, -0.7]])
+    weighted = gram_matrix(a, b, kp, age_params=ap, ages_a=[55.0] * 2, ages_b=[55.0] * 3)
+    assert np.array_equal(weighted, gram_matrix(a, b, kp))
 
 
 def test_weighted_kernel_product_example():
@@ -111,7 +133,7 @@ def test_weighted_kernel_product_example():
     kp = KernelParams(length_scales=np.ones(3))
     ap = AgeKernelParams(age_length_scale=10.0)
     x = np.array([0.0, 1.0, 2.0])
-    value = weighted_kernel_value(x, x, 40.0, 50.0, kp, ap)
+    value = kernel_entry(x, x, kp, SUM, ap, 40.0, 50.0)
     assert value == pytest.approx(3.0 * math.exp(-0.5), abs=1e-12)
     assert value == pytest.approx(1.8196, abs=1e-4)
 
@@ -120,15 +142,17 @@ def test_weighted_kernel_bound():
     rng = np.random.default_rng(7)
     kp = KernelParams(length_scales=rng.uniform(0.5, 2.0, 4), noise_variance=0.2)
     ap = AgeKernelParams(age_length_scale=5.0, age_noise_variance=0.4)
-    for _ in range(50):
-        x_i, x_j = rng.normal(size=(2, 4))
-        y_i, y_j = rng.uniform(20, 80, 2)
-        for same in (False, True):
-            weighted = weighted_kernel_value(x_i, x_j, y_i, y_j, kp, ap, same_sample=same)
-            bound = (1.0 + (0.4 if same else 0.0)) * kernel_value(
-                x_i, x_j, kp, same_sample=same
+    # off the diagonal the age factor is at most one; on it, 1 + age noise
+    factor = np.where(np.eye(6, dtype=bool), 1.4, 1.0)
+    for _ in range(10):
+        x = rng.normal(size=(6, 4))
+        ages = rng.uniform(20, 80, 6)
+        for form in FORMS:
+            weighted = gram_matrix(
+                x, x, kp, form, age_params=ap, ages_a=ages, ages_b=ages, same_set=True
             )
-            assert weighted <= bound + 1e-12
+            bound = factor * gram_matrix(x, x, kp, form, same_set=True)
+            assert np.all(weighted <= bound + 1e-12)
 
 
 def test_gram_two_identical_rows_closed_form():
@@ -206,8 +230,8 @@ def test_kernel_stationarity(point, delta, shift, form):
     x_i = np.asarray(point[:k])
     x_j = x_i + np.asarray(delta[:k])
     params = KernelParams(length_scales=np.full(k, 0.8))
-    base = kernel_value(x_i, x_j, params, form=form)
-    shifted = kernel_value(x_i + shift, x_j + shift, params, form=form)
+    base = kernel_entry(x_i, x_j, params, form)
+    shifted = kernel_entry(x_i + shift, x_j + shift, params, form)
     assert abs(base - shifted) <= 1e-15
 
 
@@ -242,3 +266,49 @@ def test_gram_requires_matching_dimensions():
     # same_set demands identical row counts
     with pytest.raises(ValueError):
         gram_matrix(np.ones((3, 2)), np.ones((4, 2)), params, SUM, same_set=True)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_gram_cross_blocks_match_naive_oracle(form):
+    rng = np.random.default_rng(17)
+    params = KernelParams(length_scales=rng.uniform(0.4, 2.5, 6), noise_variance=0.3)
+    a = rng.normal(size=(7, 6))
+    b = rng.normal(size=(9, 6))
+    assert np.allclose(gram_matrix(a, b, params, form), naive_gram(a, b, params, form),
+                       rtol=1e-14, atol=0.0)
+    ages_a = rng.uniform(20, 80, 7)
+    ages_b = rng.uniform(20, 80, 9)
+    for ap in (AgeKernelParams(9.0, 0.2), AgeKernelParams(math.inf, 0.0)):
+        weighted = gram_matrix(a, b, params, form, age_params=ap, ages_a=ages_a, ages_b=ages_b)
+        expected = naive_gram(a, b, params, form, ap, ages_a, ages_b)
+        assert np.allclose(weighted, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_gram_matrix_keeps_one_scratch_block(form):
+    # the result plus one scratch block, however many features: never one
+    # block per feature
+    rng = np.random.default_rng(19)
+    params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 12))
+    a = rng.normal(size=(300, 12))
+    b = rng.normal(size=(200, 12))
+    ages_a, ages_b = rng.uniform(20, 80, 300), rng.uniform(20, 80, 200)
+    block = 300 * 200 * 8
+    for kwargs in ({}, {"age_params": AgeKernelParams(10.0), "ages_a": ages_a, "ages_b": ages_b}):
+        tracemalloc.start()
+        try:
+            gram_matrix(a, b, params, form, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_pair_distance_gram_is_the_lower_triangle_of_gram_matrix(form):
+    rng = np.random.default_rng(20)
+    params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 5), noise_variance=0.4)
+    x = rng.normal(size=(11, 5))
+    distances = PairDistances(x)
+    pair = distances.gram(params, form, distances.workspace(form))
+    assert np.array_equal(pair, np.tril(gram_matrix(x, x, params, form, same_set=True)))
