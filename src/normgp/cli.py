@@ -168,12 +168,7 @@ def cmd_fit(args) -> int:
     }
     _write_json(report_path, report)
     _say(args, f"wrote model to {args.out}")
-    _say(
-        args,
-        f"5-fold quality: MAE={quality.mae:.3f} R2={quality.r2:.3f}"
-        if args.folds == 5
-        else f"{args.folds}-fold quality: MAE={quality.mae:.3f} R2={quality.r2:.3f}",
-    )
+    _say(args, f"{args.folds}-fold quality: MAE={quality.mae:.3f} R2={quality.r2:.3f}")
     _say(args, f"wrote fit report to {report_path}")
     return 0
 

@@ -44,19 +44,23 @@ _FAILURE_OBJECTIVE = 1e25
 # inside double range so no intermediate overflows.
 _LOG_PARAM_BOUND = 50.0
 _NEGATIVE_VARIANCE_TOLERANCE = -1e-10
+# Jitter ladder of ``stable_cholesky``, in multiples of the mean diagonal.
+_INITIAL_JITTER_FACTOR = 1e-10
+_MAX_JITTER_FACTOR = 1e-4
+# Optimizer starts: length scales log-uniform in this range times each
+# feature's standard deviation, noise variance this factor times var(y).
+_LENGTH_SCALE_INIT_RANGE = (0.1, 10.0)
+_NOISE_VARIANCE_INIT_FACTOR = 0.1
+# L-BFGS-B stops when the projected gradient falls below this.
+_GRADIENT_TOLERANCE = 1e-8
 
 
-def stable_cholesky(
-    matrix,
-    *,
-    initial_jitter_factor: float = 1e-10,
-    max_jitter_factor: float = 1e-4,
-) -> tuple[np.ndarray, float]:
+def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
     The matrix is first factorized unmodified. On failure, jitter starting
-    at ``initial_jitter_factor * mean(diag)`` is added and escalated tenfold
-    per attempt up to ``max_jitter_factor * mean(diag)``.
+    at ``1e-10 * mean(diag)`` is added and escalated tenfold per attempt up
+    to ``1e-4 * mean(diag)``.
 
     Returns
     -------
@@ -84,8 +88,8 @@ def stable_cholesky(
             return cholesky(shifted, lower=True, check_finite=False), jitter
         except np.linalg.LinAlgError:
             attempted.append(jitter)
-            jitter = initial_jitter_factor * scale if jitter == 0.0 else 10.0 * jitter
-            if jitter > max_jitter_factor * scale * (1.0 + 1e-9):
+            jitter = _INITIAL_JITTER_FACTOR * scale if jitter == 0.0 else 10.0 * jitter
+            if jitter > _MAX_JITTER_FACTOR * scale * (1.0 + 1e-9):
                 raise ConditioningError(
                     f"Cholesky failed for a {k.shape[0]}x{k.shape[0]} matrix even "
                     f"after escalating jitter to {attempted[-1]:.3e}",
@@ -97,35 +101,24 @@ def stable_cholesky(
 class FitConfig:
     """Settings for marginal-likelihood training.
 
-    ``fixed_params`` skips optimization entirely and factorizes at the
-    given hyperparameters. ``center_ages`` subtracts the training mean from
-    the targets before fitting (the offset is added back at prediction).
+    ``center_ages`` subtracts the training mean from the targets before
+    fitting (the offset is added back at prediction). A model at given
+    hyperparameters comes from ``restore``, not from ``fit``.
     """
 
     form: str = SUM
     restarts: int = 5
     seed: int = 0
-    length_scale_init_range: tuple[float, float] = (0.1, 10.0)
-    noise_variance_init_factor: float = 0.1
     max_iterations: int = 200
-    tolerance: float = 1e-8
-    initial_jitter_factor: float = 1e-10
-    max_jitter_factor: float = 1e-4
     center_ages: bool = False
-    fixed_params: KernelParams | None = None
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown kernel form {self.form!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        lo, hi = self.length_scale_init_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("length_scale_init_range must be positive and ordered")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,8 +142,6 @@ class TrainedModel:
     y_offset: float = 0.0
     restart_log_marginals: tuple[float, ...] = ()
     chosen_restart: int = 0
-    initial_jitter_factor: float = 1e-10
-    max_jitter_factor: float = 1e-4
 
     def __post_init__(self):
         for name in ("x", "y", "chol", "alpha"):
@@ -242,8 +233,6 @@ def _lml_and_gradient(
     distances: PairDistances,
     y: np.ndarray,
     form: str,
-    initial_jitter_factor: float,
-    max_jitter_factor: float,
     workspace: tuple,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and gradient over (log l_1..log l_K, log noise).
@@ -253,11 +242,7 @@ def _lml_and_gradient(
     """
     n_features = distances.squared.shape[0]
     params = _params_from_log(theta, n_features)
-    chol, _ = stable_cholesky(
-        distances.gram(params, form, workspace),
-        initial_jitter_factor=initial_jitter_factor,
-        max_jitter_factor=max_jitter_factor,
-    )
+    chol, _ = stable_cholesky(distances.gram(params, form, workspace))
     alpha = cho_solve((chol, True), y, check_finite=False)
     value = _lml_value(chol, alpha, y)
 
@@ -275,33 +260,12 @@ def _lml_and_gradient(
     return value, grad
 
 
-def log_marginal_likelihood(
-    params: KernelParams,
-    form: str,
-    x,
-    y,
-    *,
-    initial_jitter_factor: float = 1e-10,
-    max_jitter_factor: float = 1e-4,
-) -> float:
+def log_marginal_likelihood(params: KernelParams, form: str, x, y) -> float:
     """Log marginal likelihood -1/2 y'K^-1 y - 1/2 log|K| - (m/2) log 2pi."""
-    x = _validated_features(x, params.n_features)
-    y = _validated_targets(y, x.shape[0])
-    model = _assemble_model(
-        x, y, y, 0.0, params, form, initial_jitter_factor, max_jitter_factor, None, 0
-    )
-    return model.log_marginal_likelihood
+    return restore(x, y, params, form).log_marginal_likelihood
 
 
-def lml_gradient(
-    params: KernelParams,
-    form: str,
-    x,
-    y,
-    *,
-    initial_jitter_factor: float = 1e-10,
-    max_jitter_factor: float = 1e-4,
-) -> np.ndarray:
+def lml_gradient(params: KernelParams, form: str, x, y) -> np.ndarray:
     """Gradient of the log marginal likelihood in log-parameter space."""
     if form not in FORMS:
         raise ValueError(f"unknown kernel form {form!r}")
@@ -309,49 +273,9 @@ def lml_gradient(
     y = _validated_targets(y, x.shape[0])
     distances = PairDistances(x)
     _, grad = _lml_and_gradient(
-        _log_params(params), distances, y, form, initial_jitter_factor, max_jitter_factor,
-        distances.workspace(form),
+        _log_params(params), distances, y, form, distances.workspace(form)
     )
     return grad
-
-
-def _assemble_model(
-    x: np.ndarray,
-    y: np.ndarray,
-    centered: np.ndarray,
-    y_offset: float,
-    params: KernelParams,
-    form: str,
-    initial_jitter_factor: float,
-    max_jitter_factor: float,
-    restart_log_marginals: tuple[float, ...] | None,
-    chosen_restart: int,
-) -> TrainedModel:
-    kmat = gram_matrix(x, x, params, form, same_set=True)
-    chol, jitter = stable_cholesky(
-        kmat,
-        initial_jitter_factor=initial_jitter_factor,
-        max_jitter_factor=max_jitter_factor,
-    )
-    alpha = cho_solve((chol, True), centered, check_finite=False)
-    value = _lml_value(chol, alpha, centered)
-    if restart_log_marginals is None:
-        restart_log_marginals = (value,)
-    return TrainedModel(
-        x=x,
-        y=y,
-        params=params,
-        form=form,
-        chol=chol,
-        alpha=alpha,
-        jitter=jitter,
-        log_marginal_likelihood=value,
-        y_offset=y_offset,
-        restart_log_marginals=restart_log_marginals,
-        chosen_restart=chosen_restart,
-        initial_jitter_factor=initial_jitter_factor,
-        max_jitter_factor=max_jitter_factor,
-    )
 
 
 def _restart_workers(n_tasks: int) -> int:
@@ -376,9 +300,9 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
     the seeded restart substream, so the outcome is independent of worker
     scheduling) and keeps the restart with the highest final log marginal
     likelihood; ties break toward the lowest restart index. Initial length
-    scales are log-uniform in ``length_scale_init_range`` times each
-    feature's standard deviation; initial noise variance is
-    ``noise_variance_init_factor * var(y)``.
+    scales are log-uniform in (0.1, 10) times each feature's standard
+    deviation; initial noise variance is 0.1 * var(y). The model is then
+    factorized by ``restore`` at the chosen optimum.
     """
     cfg = config if config is not None else FitConfig()
     x = _validated_features(x)
@@ -389,24 +313,13 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
     y_offset = float(np.mean(y)) if cfg.center_ages else 0.0
     centered = y - y_offset
 
-    if cfg.fixed_params is not None:
-        if cfg.fixed_params.n_features != n_features:
-            raise ValueError(
-                f"fixed_params has {cfg.fixed_params.n_features} length scales, "
-                f"expected {n_features}"
-            )
-        return _assemble_model(
-            x, y, centered, y_offset, cfg.fixed_params, cfg.form,
-            cfg.initial_jitter_factor, cfg.max_jitter_factor, None, 0,
-        )
-
     feature_scale = x.std(axis=0)
     feature_scale = np.where(feature_scale > 0.0, feature_scale, 1.0)
     y_var = float(np.var(centered))
     if y_var <= 0.0:
         y_var = 1.0
-    log_noise_init = math.log(max(cfg.noise_variance_init_factor * y_var, 1e-300))
-    lo, hi = cfg.length_scale_init_range
+    log_noise_init = math.log(max(_NOISE_VARIANCE_INIT_FACTOR * y_var, 1e-300))
+    lo, hi = _LENGTH_SCALE_INIT_RANGE
     rng = substream(cfg.seed, RESTARTS)
     inits = []
     for _ in range(cfg.restarts):
@@ -425,10 +338,7 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
 
         def objective(theta):
             try:
-                value, grad = _lml_and_gradient(
-                    theta, distances, centered, cfg.form,
-                    cfg.initial_jitter_factor, cfg.max_jitter_factor, workspace,
-                )
+                value, grad = _lml_and_gradient(theta, distances, centered, cfg.form, workspace)
             except ConditioningError:
                 return _FAILURE_OBJECTIVE, np.zeros_like(theta)
             return -value, -grad
@@ -439,18 +349,14 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,
-            options={"maxiter": cfg.max_iterations, "ftol": 1e-12, "gtol": cfg.tolerance},
+            options={"maxiter": cfg.max_iterations, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
         )
         if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
             return -math.inf, None
         return float(-result.fun), np.asarray(result.x)
 
-    workers = _restart_workers(cfg.restarts)
-    if workers == 1:
-        outcomes = [run_restart(theta0) for theta0 in inits]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_restart, inits))
+    with ThreadPoolExecutor(max_workers=_restart_workers(cfg.restarts)) as pool:
+        outcomes = list(pool.map(run_restart, inits))
 
     best_index = -1
     best_value = -math.inf
@@ -462,11 +368,11 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
             f"all {cfg.restarts} restarts failed: the training Gram matrix could "
             "not be factorized at any visited hyperparameters"
         )
-    params = _params_from_log(outcomes[best_index][1], n_features)
-    return _assemble_model(
-        x, y, centered, y_offset, params, cfg.form,
-        cfg.initial_jitter_factor, cfg.max_jitter_factor,
-        tuple(value for value, _ in outcomes), best_index,
+    return restore(
+        x, y, _params_from_log(outcomes[best_index][1], n_features), cfg.form,
+        y_offset=y_offset,
+        restart_log_marginals=tuple(value for value, _ in outcomes),
+        chosen_restart=best_index,
     )
 
 
@@ -477,21 +383,36 @@ def restore(
     form: str,
     *,
     y_offset: float = 0.0,
-    initial_jitter_factor: float = 1e-10,
-    max_jitter_factor: float = 1e-4,
     restart_log_marginals: tuple[float, ...] | None = None,
     chosen_restart: int = 0,
 ) -> TrainedModel:
-    """Rebuild a TrainedModel (factorization included) from stored pieces."""
+    """The GP at given hyperparameters, factorized (GPML Alg. 2.1).
+
+    The one place a TrainedModel is built: ``fit`` ends here at its chosen
+    optimum, and a model file is rebuilt here from its stored pieces. The
+    regression runs on ``y - y_offset``. ``restart_log_marginals`` defaults
+    to this model's own log marginal likelihood.
+    """
     if form not in FORMS:
         raise ValueError(f"unknown kernel form {form!r}")
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
     centered = y - y_offset
-    return _assemble_model(
-        x, y, centered, y_offset, params, form,
-        initial_jitter_factor, max_jitter_factor,
-        restart_log_marginals, chosen_restart,
+    chol, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    alpha = cho_solve((chol, True), centered, check_finite=False)
+    value = _lml_value(chol, alpha, centered)
+    return TrainedModel(
+        x=x,
+        y=y,
+        params=params,
+        form=form,
+        chol=chol,
+        alpha=alpha,
+        jitter=jitter,
+        log_marginal_likelihood=value,
+        y_offset=y_offset,
+        restart_log_marginals=(value,) if restart_log_marginals is None else restart_log_marginals,
+        chosen_restart=chosen_restart,
     )
 
 
@@ -603,11 +524,7 @@ def weighted_posterior_cov(
             k_train = gram_matrix(model.x, model.x, model.params, model.form)
         k_train = np.multiply(age_factor(model.y, model.y, age_params), k_train)
         np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
-        chol, jitter = stable_cholesky(
-            k_train,
-            initial_jitter_factor=model.initial_jitter_factor,
-            max_jitter_factor=model.max_jitter_factor,
-        )
+        chol, jitter = stable_cholesky(k_train)
     if not unweighted:  # at l_y = inf the age factor is exactly one
         factor = age_factor(ages, model.y, age_params)
         k_star = np.multiply(factor, k_star, out=factor)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
 from .gpr import FitConfig, TrainedModel, feature_grams, fit, predict, weighted_posterior_cov
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
@@ -80,13 +79,7 @@ def score_cohort(
     error, the posterior variance, and the age-weighted posterior variance
     (using each subject's chronological age). Row order is preserved.
     """
-    if expected_feature_names is not None and tuple(cohort.feature_names) != tuple(
-        expected_feature_names
-    ):
-        raise SchemaError(
-            f"cohort feature names {list(cohort.feature_names)} do not match "
-            f"the model's {list(expected_feature_names)}"
-        )
+    cohort.require_feature_names(expected_feature_names)
     transformed = apply_chain(cohort.features, standardizer, pca)
     # One test-by-training block serves both posteriors.
     grams = feature_grams(model, transformed, train=False)

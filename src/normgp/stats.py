@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
 from .gpr import TrainedModel, feature_grams, weighted_posterior_cov
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
@@ -183,6 +182,8 @@ def pearson_r(a, b) -> float:
         raise ValueError("inputs must have equal lengths")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 points")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("inputs contain non-finite values")
     da = a - a.mean()
     db = b - b.mean()
     ss_a = float(da @ da)
@@ -287,13 +288,7 @@ def ly_sweep(
             raise ValueError("age length scales must be positive (or infinite)")
     if cohort.diagnosis is None:
         raise ValueError("cohort has no diagnosis labels")
-    if expected_feature_names is not None and tuple(cohort.feature_names) != tuple(
-        expected_feature_names
-    ):
-        raise SchemaError(
-            f"cohort feature names {list(cohort.feature_names)} do not match "
-            f"the model's {list(expected_feature_names)}"
-        )
+    cohort.require_feature_names(expected_feature_names)
     mask_negative, mask_positive = _two_group_masks(cohort.diagnosis, groups)
     keep = mask_negative | mask_positive
     transformed = apply_chain(cohort.features, standardizer, pca)[keep]

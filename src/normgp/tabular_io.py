@@ -28,6 +28,12 @@ FORMAT_VERSION = 1
 _MODEL_MAGIC = "normative-gp-model"
 SCORES_HEADER = ("id", "age", "diagnosis", "y_hat", "epsilon", "cov", "cov_w")
 SEX_CODES = {"F": 0.0, "M": 1.0}
+# Column roles of a cohort CSV; every other column is a numeric feature. The
+# diagnosis is recognized under either name, and a file may hold only one.
+_AGE_COLUMN = "age"
+_ID_COLUMN = "id"
+_SEX_COLUMN = "sex"
+_DIAGNOSIS_COLUMNS = ("dx", "diagnosis")
 
 
 def _fmt(value: float) -> str:
@@ -100,31 +106,22 @@ class Cohort:
     def n_subjects(self) -> int:
         return len(self.subject_ids)
 
-
-@dataclass(frozen=True)
-class CohortSchema:
-    """Column-role mapping for cohort CSV files.
-
-    Columns not mapped to a role become features, unless an explicit
-    ``feature_columns`` list is given. The diagnosis role is recognized
-    under any of ``diagnosis_columns``; a file may hold at most one of them.
-    """
-
-    age_column: str = "age"
-    id_column: str = "id"
-    sex_column: str = "sex"
-    diagnosis_columns: tuple[str, ...] = ("dx", "diagnosis")
-    feature_columns: tuple[str, ...] | None = None
+    def require_feature_names(self, expected: tuple[str, ...] | None) -> None:
+        """Raise SchemaError unless the feature columns are ``expected`` (None: any)."""
+        if expected is not None and self.feature_names != tuple(expected):
+            raise SchemaError(
+                f"cohort feature names {list(self.feature_names)} do not match "
+                f"the model's {list(expected)}"
+            )
 
 
-def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
+def load_cohort(path) -> Cohort:
     """Load a cohort CSV, validating every cell.
 
     Any unparsable, empty, or non-finite value raises a parse error naming
     the row (1-based physical line, header is row 1) and column — values
     are never imputed.
     """
-    schema = schema if schema is not None else CohortSchema()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -137,30 +134,18 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
         if name in seen:
             raise SchemaError(f"{path}: duplicate column {name!r}")
         seen.add(name)
-    if schema.age_column not in header:
-        raise SchemaError(f"{path}: required column {schema.age_column!r} is missing")
+    if _AGE_COLUMN not in header:
+        raise SchemaError(f"{path}: required column {_AGE_COLUMN!r} is missing")
 
-    role_columns = {schema.age_column, schema.id_column, schema.sex_column,
-                    *schema.diagnosis_columns}
-    if schema.feature_columns is not None:
-        feature_names = list(schema.feature_columns)
-        missing = [name for name in feature_names if name not in header]
-        if missing:
-            raise SchemaError(f"{path}: feature column {missing[0]!r} is missing")
-        overlap = [name for name in feature_names if name in role_columns]
-        if overlap:
-            raise SchemaError(
-                f"{path}: column {overlap[0]!r} is mapped to a role and cannot be a feature"
-            )
-    else:
-        feature_names = [name for name in header if name not in role_columns]
+    role_columns = {_AGE_COLUMN, _ID_COLUMN, _SEX_COLUMN, *_DIAGNOSIS_COLUMNS}
+    feature_names = [name for name in header if name not in role_columns]
     if not feature_names:
         raise SchemaError(f"{path}: no feature columns")
 
     index = {name: header.index(name) for name in header}
-    has_id = schema.id_column in header
-    has_sex = schema.sex_column in header
-    dx_columns = [name for name in schema.diagnosis_columns if name in header]
+    has_id = _ID_COLUMN in header
+    has_sex = _SEX_COLUMN in header
+    dx_columns = [name for name in _DIAGNOSIS_COLUMNS if name in header]
     if len(dx_columns) > 1:
         raise SchemaError(
             f"{path}: columns {dx_columns[0]!r} and {dx_columns[1]!r} both name the "
@@ -199,19 +184,19 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
             raise CohortParseError(
                 f"{path}: row {row_num}: expected {len(header)} fields, got {len(parts)}"
             )
-        age = numeric(parts, schema.age_column, row_num)
+        age = numeric(parts, _AGE_COLUMN, row_num)
         if age <= 0.0:
             raise CohortParseError(
-                f"{path}: row {row_num}, column {schema.age_column!r}: "
+                f"{path}: row {row_num}, column {_AGE_COLUMN!r}: "
                 f"age must be strictly positive, got {age}"
             )
         ages.append(age)
-        ids.append(cell(parts, schema.id_column, row_num) if has_id else str(offset))
+        ids.append(cell(parts, _ID_COLUMN, row_num) if has_id else str(offset))
         if has_sex:
-            sex = cell(parts, schema.sex_column, row_num)
+            sex = cell(parts, _SEX_COLUMN, row_num)
             if sex not in SEX_CODES:
                 raise CohortParseError(
-                    f"{path}: row {row_num}, column {schema.sex_column!r}: "
+                    f"{path}: row {row_num}, column {_SEX_COLUMN!r}: "
                     f"expected F or M, got {sex!r}"
                 )
             sexes.append(sex)
@@ -231,12 +216,12 @@ def load_cohort(path, schema: CohortSchema | None = None) -> Cohort:
 
 
 def save_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort CSV readable by ``load_cohort`` with default schema."""
-    header = ["id", "age"]
+    """Write a cohort CSV readable by ``load_cohort``."""
+    header = [_ID_COLUMN, _AGE_COLUMN]
     if cohort.sex is not None:
-        header.append("sex")
+        header.append(_SEX_COLUMN)
     if cohort.diagnosis is not None:
-        header.append("dx")
+        header.append(_DIAGNOSIS_COLUMNS[0])
     header.extend(cohort.feature_names)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -310,7 +295,11 @@ def save_scores(table: ScoresTable, path) -> None:
 
 
 def load_scores(path) -> ScoresTable:
-    """Read a scores CSV produced by ``save_scores``."""
+    """Read a scores CSV produced by ``save_scores``.
+
+    A numeric cell that does not parse, or holds a non-finite value, raises
+    a parse error naming its row and column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -332,12 +321,18 @@ def load_scores(path) -> ScoresTable:
         diagnosis.append(parts[2])
         for name, position in (("age", 1), ("y_hat", 3), ("epsilon", 4), ("cov", 5), ("cov_w", 6)):
             try:
-                columns[name].append(float(parts[position]))
+                value = float(parts[position])
             except ValueError:
                 raise CohortParseError(
                     f"{path}: row {row_num}, column {name!r}: "
                     f"not a number: {parts[position]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise CohortParseError(
+                    f"{path}: row {row_num}, column {name!r}: "
+                    f"non-finite value {parts[position]!r}"
+                )
+            columns[name].append(value)
     return ScoresTable(
         subject_ids=tuple(ids),
         age=np.asarray(columns["age"], dtype=float),

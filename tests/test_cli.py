@@ -200,6 +200,23 @@ def test_evaluate_single_group_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_non_finite_score(tmp_path, capsys):
+    # a NaN must not reach the statistics, where it once read as a perfect
+    # correlation; the file is refused with its row and column
+    rows = ["id,age,diagnosis,y_hat,epsilon,cov,cov_w"]
+    for i, (dx, eps, cov) in enumerate(
+        [("HC", 0.5, 1.0), ("HC", -1.0, 1.2), ("DX", 2.0, 1.1), ("DX", -0.5, "nan")]
+    ):
+        rows.append(f"s{i},50,{dx},50,{eps},{cov},{cov}")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(rows) + "\n")
+    report = tmp_path / "e.json"
+    code = main(["evaluate", str(scores), "--out", str(report), "--metrics", "epsilon"])
+    assert code == 2
+    assert "row 5, column 'cov'" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_score_missing_age_column_fails(tmp_path, capsys):
     train = _synth(tmp_path)
     model = _fit(tmp_path, train)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -127,7 +128,7 @@ def test_shared_distances_evaluation_matches_public_lml_and_gradient(form):
             length_scales=rng.uniform(0.3, 3.0, 4), noise_variance=float(rng.uniform(0.05, 2))
         )
         theta = np.log(np.append(params.length_scales, params.noise_variance))
-        value, grad = _lml_and_gradient(theta, distances, y, form, 1e-10, 1e-4, workspace)
+        value, grad = _lml_and_gradient(theta, distances, y, form, workspace)
         assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
         public = lml_gradient(params, form, x, y)
         assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
@@ -149,9 +150,7 @@ def test_shared_distances_evaluation_matches_public_functions_when_jittered(form
     distances = PairDistances(x)
     with np.errstate(divide="ignore"):
         theta = np.log(np.append(params.length_scales, 0.0))
-    value, grad = _lml_and_gradient(
-        theta, distances, y, form, 1e-10, 1e-4, distances.workspace(form)
-    )
+    value, grad = _lml_and_gradient(theta, distances, y, form, distances.workspace(form))
     assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
     public = lml_gradient(params, form, x, y)
     assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
@@ -174,8 +173,7 @@ def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
     monkeypatch.setattr(gpr, "stable_cholesky", singular_factor)
     with np.errstate(all="ignore"), pytest.raises(ConditioningError, match="info"):
         _lml_and_gradient(
-            np.zeros(3), distances, rng.normal(size=5), SUM, 1e-10, 1e-4,
-            distances.workspace(SUM),
+            np.zeros(3), distances, rng.normal(size=5), SUM, distances.workspace(SUM)
         )
 
 
@@ -313,31 +311,41 @@ def test_fit_input_validation():
         fit(np.array([[1.0], [2.0]]), np.array([50.0, np.inf]))
 
 
-def test_fixed_params_skip_optimization():
+def test_fit_config_holds_only_the_settings_callers_set():
+    # the jitter ladder, starting points and gradient tolerance are fixed
+    # constants, and a model at given hyperparameters comes from restore
+    assert [field.name for field in dataclasses.fields(FitConfig)] == [
+        "form", "restarts", "seed", "max_iterations", "center_ages",
+    ]
+
+
+def test_restore_keeps_the_given_hyperparameters():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(8, 2))
     y = rng.uniform(20, 80, 8)
     params = KernelParams(length_scales=np.array([1.2, 0.8]), noise_variance=0.4)
-    model = fit(x, y, FitConfig(fixed_params=params))
+    model = restore(x, y, params, SUM)
     assert np.array_equal(model.params.length_scales, params.length_scales)
     assert model.params.noise_variance == params.noise_variance
     assert model.log_marginal_likelihood == pytest.approx(
         naive_lml(params, SUM, x, y), abs=1e-8
     )
+    assert model.restart_log_marginals == (model.log_marginal_likelihood,)
     with pytest.raises(ValueError):
-        fit(x, y, FitConfig(fixed_params=KernelParams(length_scales=np.ones(3))))
+        restore(x, y, KernelParams(length_scales=np.ones(3)), SUM)
 
 
 def test_center_ages_moves_far_field_prediction_to_mean():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(15, 2))
     y = rng.uniform(40, 60, 15)
+    assert fit(x, y, FitConfig(restarts=1, center_ages=True)).y_offset == float(y.mean())
+    assert fit(x, y, FitConfig(restarts=1)).y_offset == 0.0
     params = KernelParams(length_scales=np.ones(2), noise_variance=0.1)
-    centered = fit(x, y, FitConfig(fixed_params=params, center_ages=True))
-    assert centered.y_offset == pytest.approx(float(y.mean()), abs=1e-12)
+    centered = restore(x, y, params, SUM, y_offset=float(y.mean()))
     far = np.full((1, 2), 60.0)  # far outside the training cloud
     assert predict(centered, far).y_hat[0] == pytest.approx(float(y.mean()), abs=1e-6)
-    plain = fit(x, y, FitConfig(fixed_params=params))
+    plain = restore(x, y, params, SUM)
     assert plain.y_offset == 0.0
     assert predict(plain, far).y_hat[0] == pytest.approx(0.0, abs=1e-6)
 

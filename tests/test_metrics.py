@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from normgp import metrics
 from normgp.errors import SchemaError
-from normgp.gpr import FitConfig, fit, predict, restore, weighted_posterior_cov
+from normgp.gpr import FitConfig, predict, restore, weighted_posterior_cov
 from normgp.kernels import SUM, AgeKernelParams, KernelParams
 from normgp.metrics import (
     cross_validated_quality,
@@ -128,7 +129,7 @@ def test_self_scoring_is_tight_for_a_good_model():
     ages = np.linspace(20, 80, 40)
     features = np.column_stack([ages / 15.0, np.tanh((ages - 50) / 12.0)])
     params = KernelParams(length_scales=np.array([2.0, 1.0]), noise_variance=1e-4)
-    model = fit(features, ages, FitConfig(fixed_params=params, center_ages=True))
+    model = restore(features, ages, params, SUM, y_offset=float(ages.mean()))
     cohort = Cohort(
         subject_ids=tuple(str(i) for i in range(40)),
         features=features,
@@ -168,25 +169,32 @@ def test_cross_validated_quality_perfect_predictor():
     assert len(report.per_fold) == 4
 
 
-def test_cross_validated_quality_constant_predictor_has_nonpositive_r2():
+def _fit_at(monkeypatch, params):
+    """Make every CV fold's fit a centered model at ``params``."""
+
+    def frozen_fit(x, y, config):
+        return restore(x, y, params, config.form, y_offset=float(np.mean(y)))
+
+    monkeypatch.setattr(metrics, "fit", frozen_fit)
+
+
+def test_cross_validated_quality_constant_predictor_has_nonpositive_r2(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(30, 2))
     y = rng.uniform(20, 80, 30)
     frozen = KernelParams(length_scales=np.full(2, 1e6), noise_variance=1.0)
-    report = cross_validated_quality(
-        x, y, 5, FitConfig(fixed_params=frozen, center_ages=True)
-    )
+    _fit_at(monkeypatch, frozen)
+    report = cross_validated_quality(x, y, 5, FitConfig(center_ages=True))
     assert report.r2 <= 0.05
 
 
-def test_cross_validated_quality_leave_one_out():
+def test_cross_validated_quality_leave_one_out(monkeypatch):
     rng = np.random.default_rng(6)
     y = rng.uniform(20, 80, 9)
     x = np.column_stack([y + rng.normal(0, 0.5, 9)])
     params = KernelParams(length_scales=np.array([20.0]), noise_variance=0.5)
-    report = cross_validated_quality(
-        x, y, 9, FitConfig(fixed_params=params, center_ages=True)
-    )
+    _fit_at(monkeypatch, params)
+    report = cross_validated_quality(x, y, 9, FitConfig(center_ages=True))
     assert report.folds == 9
     assert len(report.per_fold) == 9
     assert math.isfinite(report.mae)

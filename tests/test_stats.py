@@ -259,6 +259,14 @@ def test_pearson_rejects_degenerate_input():
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_pearson_rejects_non_finite_input():
+    # the [-1, 1] clamp would turn a NaN correlation into 1.0
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson_r([1.0, 2.0, 3.0], [1.0, np.nan, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson_r([1.0, np.inf, 3.0], [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # fixed-effects regression
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from normgp.preprocess import fit_pca, fit_standardizer
 from normgp import tabular_io
 from normgp.tabular_io import (
     Cohort,
-    CohortSchema,
     ModelArtifact,
     ScoresTable,
     artifact_from_fit,
@@ -98,15 +97,6 @@ def test_ids_synthesized_when_missing(tmp_path):
     cohort = load_cohort(write(tmp_path / "c.csv", "age,v1\n50,1\n60,2\n"))
     assert cohort.subject_ids == ("0", "1")
     assert cohort.sex is None and cohort.diagnosis is None
-
-
-def test_explicit_feature_subset(tmp_path):
-    path = write(tmp_path / "c.csv", "age,v1,v2,extra\n50,1,2,9\n60,3,4,8\n")
-    cohort = load_cohort(path, CohortSchema(feature_columns=("v2",)))
-    assert cohort.feature_names == ("v2",)
-    assert np.array_equal(cohort.features[:, 0], [2.0, 4.0])
-    with pytest.raises(SchemaError, match="missing"):
-        load_cohort(path, CohortSchema(feature_columns=("nope",)))
 
 
 def test_sex_parsing_and_indicator(tmp_path):
@@ -202,6 +192,17 @@ def test_scores_length_mismatch_is_contract_error():
             cov=np.array([1.0]),
             cov_w=np.array([1.0]),
         )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scores_non_finite_cell_names_row_and_column(tmp_path, value):
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "id,age,diagnosis,y_hat,epsilon,cov,cov_w\n"
+        f"a,50,HC,51,1,0.5,0.5\nb,60,DX,58,-2,{value},0.7\n"
+    )
+    with pytest.raises(CohortParseError, match=r"row 3, column 'cov': non-finite"):
+        load_scores(path)
 
 
 def test_scores_header_enforced_on_load(tmp_path):
@@ -311,6 +312,32 @@ def test_scores_from_reloaded_model_match(tmp_path):
     reloaded = predict(revived, x_test)
     assert np.allclose(reloaded.y_hat, original.y_hat, rtol=1e-12, atol=1e-12)
     assert np.allclose(reloaded.variance, original.variance, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["sum", "product", "jittered"])
+def test_model_rebuilt_from_its_file_is_the_fitted_model(tmp_path, case):
+    # the file holds everything the factorization depends on, so the model
+    # rebuilt from it is the fitted one bit for bit, jitter included
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(12, 3))
+    y = rng.uniform(20, 80, 12)
+    if case == "jittered":
+        # duplicate rows at zero noise: singular until jitter is added
+        x, y = np.vstack([x, x[:4]]), np.concatenate([y, y[:4] + 1.0])
+        params = KernelParams(length_scales=np.array([0.7, 1.3, 0.9]), noise_variance=0.0)
+        model = restore(x, y, params, SUM, y_offset=float(y.mean()))
+        assert model.jitter > 0.0
+    else:
+        model = fit(x, y, FitConfig(form=case, restarts=3, seed=2, center_ages=True))
+    path = tmp_path / "model.gp"
+    save_model(artifact_from_fit(model, ("a", "b", "c"), seed=2), path)
+    rebuilt = to_trained_model(load_model(path))
+    assert np.array_equal(rebuilt.chol, model.chol)
+    assert np.array_equal(rebuilt.alpha, model.alpha)
+    assert rebuilt.jitter == model.jitter
+    assert rebuilt.log_marginal_likelihood == model.log_marginal_likelihood
+    assert rebuilt.restart_log_marginals == model.restart_log_marginals
+    assert rebuilt.chosen_restart == model.chosen_restart
 
 
 def test_artifact_dimension_validation():
