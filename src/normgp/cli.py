@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
 )
 from .kernels import FORMS, SUM, AgeKernelParams
+from .preprocess import fit_pca, fit_standardizer
 
 
 def _jsonable(value):
@@ -65,16 +66,6 @@ def _parse_groups(raw: str) -> tuple[str, str]:
     return parts
 
 
-def _parse_metrics(raw: str) -> tuple[str, ...]:
-    parts = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not parts:
-        raise ValueError("--metrics must name at least one metric")
-    for part in parts:
-        if part not in stats.METRIC_NAMES:
-            raise ValueError(f"unknown metric {part!r} (choose from {stats.METRIC_NAMES})")
-    return parts
-
-
 def _parse_grid(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in raw.split(",") if part.strip())
@@ -95,14 +86,10 @@ def cmd_fit(args) -> int:
     features = cohort.features
     standardizer = None
     if args.standardize:
-        from .preprocess import fit_standardizer
-
         standardizer = fit_standardizer(features)
         features = standardizer.apply(features)
     pca = None
     if args.pca is not None:
-        from .preprocess import fit_pca
-
         pca = fit_pca(features, args.pca)
         features = pca.project(features)
     config = gpr.FitConfig(
@@ -187,21 +174,7 @@ def cmd_score(args) -> int:
         pca=artifact.pca,
         expected_feature_names=artifact.feature_names,
     )
-    diagnosis = (
-        cohort.diagnosis
-        if cohort.diagnosis is not None
-        else ("",) * len(cohort.subject_ids)
-    )
-    table = tabular_io.ScoresTable(
-        subject_ids=cohort.subject_ids,
-        age=cohort.age,
-        diagnosis=diagnosis,
-        y_hat=scores.y_hat,
-        epsilon=scores.epsilon,
-        cov=scores.cov_score,
-        cov_w=scores.cov_w_score,
-    )
-    tabular_io.save_scores(table, args.out)
+    tabular_io.save_scores(scores, args.out)
     _say(
         args,
         f"scored {len(cohort.subject_ids)} subjects "
@@ -213,7 +186,7 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     table = tabular_io.load_scores(args.scores_csv)
     groups = _parse_groups(args.groups)
-    metric_names = _parse_metrics(args.metrics)
+    metric_names = tuple(part.strip() for part in args.metrics.split(",") if part.strip())
     report = stats.evaluate_scores(
         table, groups, metric_names, absolute_epsilon=args.abs_epsilon
     )
@@ -255,11 +228,7 @@ def cmd_sweep(args) -> int:
         pca=artifact.pca,
         expected_feature_names=artifact.feature_names,
     )
-    lines = ["l_y,auc,is_best"]
-    for value, auc in result.rows:
-        flag = 1 if value == result.best_l_y else 0
-        lines.append(f"{tabular_io._fmt(value)},{tabular_io._fmt(auc)},{flag}")
-    tabular_io._atomic_write_text(args.out, "\n".join(lines) + "\n")
+    tabular_io.save_sweep(result, args.out)
     _say(args, f"best l_y={result.best_l_y:g} with AUC={result.best_auc:.4f}")
     _say(args, f"wrote sweep table to {args.out}")
     return 0
@@ -295,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-q", "--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = gpr.FitConfig()
 
     p_fit = sub.add_parser("fit", parents=[common], help="train a GP age model on a cohort CSV")
     p_fit.add_argument("train_csv", help="training cohort CSV (age + feature columns)")
@@ -311,11 +281,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="project features onto N principal components (bare flag: 50)",
     )
     p_fit.add_argument("--standardize", action="store_true", help="z-score features before fitting")
-    p_fit.add_argument("--restarts", type=int, default=5, help="optimizer restarts (default 5)")
+    p_fit.add_argument(
+        "--restarts", type=int, default=defaults.restarts,
+        help="optimizer restarts (default %(default)s)",
+    )
     p_fit.add_argument("--folds", type=int, default=5, help="cross-validation folds (default 5)")
-    p_fit.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_fit.add_argument(
+        "--seed", type=int, default=defaults.seed, help="random seed (default %(default)s)"
+    )
     p_fit.add_argument("--center-ages", action="store_true", help="model ages around their mean")
-    p_fit.add_argument("--max-iterations", type=int, default=200, help="optimizer iteration cap")
+    p_fit.add_argument(
+        "--max-iterations", type=int, default=defaults.max_iterations,
+        help="optimizer iteration cap",
+    )
     p_fit.set_defaults(handler=cmd_fit)
 
     p_score = sub.add_parser("score", parents=[common], help="score a cohort against a trained model")
@@ -356,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output sweep CSV")
     p_sweep.add_argument(
         "--ly-grid",
-        default="0.1,1,10,100,1000,1e5,inf",
-        help="comma-separated l_y grid (default 0.1,1,10,100,1000,1e5,inf)",
+        default=",".join(format(value, "g") for value in stats.DEFAULT_LY_GRID),
+        help="comma-separated l_y grid (default %(default)s)",
     )
     p_sweep.add_argument("--groups", default="HC,DX", help="negative,positive labels (default HC,DX)")
     p_sweep.add_argument("--age-noise", type=float, default=0.0, help="age kernel noise variance")

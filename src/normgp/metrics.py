@@ -16,29 +16,7 @@ from .gpr import FitConfig, TrainedModel, feature_grams, fit, predict, weighted_
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
 from .seeding import FOLDS, substream
-from .tabular_io import Cohort
-
-
-@dataclass(frozen=True)
-class AnomalyScores:
-    """The three abnormality metrics for one scored cohort, row-aligned."""
-
-    epsilon: np.ndarray
-    cov_score: np.ndarray
-    cov_w_score: np.ndarray
-    age_length_scale_used: float
-    y_hat: np.ndarray
-
-    def __post_init__(self):
-        arrays = {}
-        for name in ("epsilon", "cov_score", "cov_w_score", "y_hat"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            object.__setattr__(self, name, arrays[name])
-        n = arrays["epsilon"].shape[0]
-        if any(a.shape[0] != n for a in arrays.values()):
-            raise ValueError("score vectors must have equal lengths")
-        if np.any(arrays["cov_score"] < 0.0) or np.any(arrays["cov_w_score"] < 0.0):
-            raise ValueError("uncertainty scores must be nonnegative")
+from .tabular_io import Cohort, ScoresTable
 
 
 @dataclass(frozen=True)
@@ -72,12 +50,13 @@ def score_cohort(
     standardizer: Standardizer | None = None,
     pca: PcaTransform | None = None,
     expected_feature_names: tuple[str, ...] | None = None,
-) -> AnomalyScores:
+) -> ScoresTable:
     """Score every cohort row against a trained normative model.
 
     Applies the stored preprocessing chain, then computes the prediction
     error, the posterior variance, and the age-weighted posterior variance
-    (using each subject's chronological age). Row order is preserved.
+    (using each subject's chronological age). Row order is preserved; a
+    cohort without diagnosis labels gets ``""`` as every diagnosis.
     """
     cohort.require_feature_names(expected_feature_names)
     transformed = apply_chain(cohort.features, standardizer, pca)
@@ -85,12 +64,14 @@ def score_cohort(
     grams = feature_grams(model, transformed, train=False)
     result = predict(model, transformed, grams=grams)
     weighted = weighted_posterior_cov(model, transformed, cohort.age, age_params, grams=grams)
-    return AnomalyScores(
-        epsilon=prediction_error(result.y_hat, cohort.age),
-        cov_score=result.variance,
-        cov_w_score=weighted.variance,
-        age_length_scale_used=age_params.age_length_scale,
+    return ScoresTable(
+        subject_ids=cohort.subject_ids,
+        age=cohort.age,
+        diagnosis=cohort.diagnosis or ("",) * cohort.n_subjects,
         y_hat=result.y_hat,
+        epsilon=prediction_error(result.y_hat, cohort.age),
+        cov=result.variance,
+        cov_w=weighted.variance,
     )
 
 

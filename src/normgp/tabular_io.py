@@ -63,6 +63,44 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _read_csv(path):
+    """Read a CSV with a mandatory header.
+
+    Returns the stripped header names and an iterator of ``(row number,
+    cells)`` over the data rows, the header being row 1. The iterator raises
+    at the first row whose width is not the header's, so the caller checks
+    the header before any row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0]]
+
+    def data_rows():
+        for row_num, parts in enumerate(rows[1:], start=2):
+            if len(parts) != len(header):
+                raise CohortParseError(
+                    f"{path}: row {row_num}: expected {len(header)} fields, got {len(parts)}"
+                )
+            yield row_num, parts
+
+    return header, data_rows()
+
+
+def _number(path, row_num: int, name: str, raw: str) -> float:
+    """Parse one numeric cell; a non-number or a non-finite value raises."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise CohortParseError(
+            f"{path}: row {row_num}, column {name!r}: not a number: {raw!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise CohortParseError(f"{path}: row {row_num}, column {name!r}: non-finite value {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Cohort:
     """A tabular dataset of subjects, one row each."""
@@ -122,11 +160,7 @@ def load_cohort(path) -> Cohort:
     the row (1-based physical line, header is row 1) and column — values
     are never imputed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
+    header, rows = _read_csv(path)
     if any(not name for name in header):
         raise SchemaError(f"{path}: header has an unnamed column")
     seen = set()
@@ -160,30 +194,14 @@ def load_cohort(path) -> Cohort:
         return value
 
     def numeric(parts: list[str], name: str, row_num: int) -> float:
-        raw = cell(parts, name, row_num)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CohortParseError(
-                f"{path}: row {row_num}, column {name!r}: not a number: {raw!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise CohortParseError(
-                f"{path}: row {row_num}, column {name!r}: non-finite value {raw!r}"
-            )
-        return value
+        return _number(path, row_num, name, cell(parts, name, row_num))
 
     ids: list[str] = []
     ages: list[float] = []
     sexes: list[str] = []
     diagnoses: list[str] = []
     features: list[list[float]] = []
-    for offset, parts in enumerate(rows[1:]):
-        row_num = offset + 2
-        if len(parts) != len(header):
-            raise CohortParseError(
-                f"{path}: row {row_num}: expected {len(header)} fields, got {len(parts)}"
-            )
+    for row_num, parts in rows:
         age = numeric(parts, _AGE_COLUMN, row_num)
         if age <= 0.0:
             raise CohortParseError(
@@ -191,7 +209,7 @@ def load_cohort(path) -> Cohort:
                 f"age must be strictly positive, got {age}"
             )
         ages.append(age)
-        ids.append(cell(parts, _ID_COLUMN, row_num) if has_id else str(offset))
+        ids.append(cell(parts, _ID_COLUMN, row_num) if has_id else str(row_num - 2))
         if has_sex:
             sex = cell(parts, _SEX_COLUMN, row_num)
             if sex not in SEX_CODES:
@@ -247,7 +265,12 @@ def sex_to_indicator(sex: tuple[str, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoresTable:
-    """Per-subject abnormality scores, one row per subject."""
+    """Per-subject abnormality scores, one row per subject.
+
+    ``epsilon`` is the predicted minus the chronological age; ``cov`` and
+    ``cov_w`` are the posterior and the age-weighted posterior variances.
+    Every numeric column is finite, and the variances are nonnegative.
+    """
 
     subject_ids: tuple[str, ...]
     age: np.ndarray
@@ -267,6 +290,10 @@ class ScoresTable:
             arr = np.asarray(getattr(self, name), dtype=float).reshape(-1)
             if arr.shape[0] != n:
                 raise ValueError(f"{name} length must match the subject count")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite values")
+            if name in ("cov", "cov_w") and np.any(arr < 0.0):
+                raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, arr)
 
     @property
@@ -300,48 +327,35 @@ def load_scores(path) -> ScoresTable:
     A numeric cell that does not parse, or holds a non-finite value, raises
     a parse error naming its row and column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    if tuple(cell.strip() for cell in rows[0]) != SCORES_HEADER:
+    header, rows = _read_csv(path)
+    if tuple(header) != SCORES_HEADER:
         raise SchemaError(
-            f"{path}: expected header {','.join(SCORES_HEADER)}, got {','.join(rows[0])}"
+            f"{path}: expected header {','.join(SCORES_HEADER)}, got {','.join(header)}"
         )
-    ids, diagnosis = [], []
-    columns: dict[str, list[float]] = {n: [] for n in ("age", "y_hat", "epsilon", "cov", "cov_w")}
-    for offset, parts in enumerate(rows[1:]):
-        row_num = offset + 2
-        if len(parts) != len(SCORES_HEADER):
-            raise CohortParseError(
-                f"{path}: row {row_num}: expected {len(SCORES_HEADER)} fields, "
-                f"got {len(parts)}"
-            )
-        ids.append(parts[0])
-        diagnosis.append(parts[2])
-        for name, position in (("age", 1), ("y_hat", 3), ("epsilon", 4), ("cov", 5), ("cov_w", 6)):
-            try:
-                value = float(parts[position])
-            except ValueError:
-                raise CohortParseError(
-                    f"{path}: row {row_num}, column {name!r}: "
-                    f"not a number: {parts[position]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise CohortParseError(
-                    f"{path}: row {row_num}, column {name!r}: "
-                    f"non-finite value {parts[position]!r}"
-                )
-            columns[name].append(value)
+    columns: dict[str, list] = {name: [] for name in SCORES_HEADER}
+    for row_num, parts in rows:
+        for name, raw in zip(SCORES_HEADER, parts):
+            if name not in ("id", "diagnosis"):
+                raw = _number(path, row_num, name, raw)
+            columns[name].append(raw)
     return ScoresTable(
-        subject_ids=tuple(ids),
-        age=np.asarray(columns["age"], dtype=float),
-        diagnosis=tuple(diagnosis),
-        y_hat=np.asarray(columns["y_hat"], dtype=float),
-        epsilon=np.asarray(columns["epsilon"], dtype=float),
-        cov=np.asarray(columns["cov"], dtype=float),
-        cov_w=np.asarray(columns["cov_w"], dtype=float),
+        subject_ids=columns["id"],
+        age=columns["age"],
+        diagnosis=columns["diagnosis"],
+        y_hat=columns["y_hat"],
+        epsilon=columns["epsilon"],
+        cov=columns["cov"],
+        cov_w=columns["cov_w"],
     )
+
+
+def save_sweep(result, path) -> None:
+    """Write an ``l_y`` sweep (``stats.LySweepResult``) as ``l_y,auc,is_best``."""
+    lines = ["l_y,auc,is_best"]
+    lines.extend(
+        f"{_fmt(l_y)},{_fmt(auc)},{int(l_y == result.best_l_y)}" for l_y, auc in result.rows
+    )
+    _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -448,140 +462,115 @@ def to_trained_model(artifact: ModelArtifact) -> gpr.TrainedModel:
     )
 
 
-def _vector_lines(tag: str, values: np.ndarray) -> list[str]:
-    return [f"{tag} {values.shape[0]}", " ".join(_fmt(v) for v in values)]
+# The model file after its magic line: (tag, kind) in file order. Each
+# section opens with the line ``tag <payload>``:
+#   word, int, float: the value itself;
+#   names: a count, then one name per line;
+#   vector: a length, then one line of numbers;
+#   matrix: rows and columns, then one line of numbers per row.
+# A tuple kind is an optional block, ``tag 0`` alone or ``tag 1`` followed by
+# its sections, which are the fields of the block's object. Every other tag
+# is a field of ModelArtifact, KernelParams or FitMetadata.
+_MODEL_SECTIONS = (
+    ("kernel_form", "word"),
+    ("y_offset", "float"),
+    ("feature_names", "names"),
+    ("length_scales", "vector"),
+    ("noise_variance", "float"),
+    ("standardizer", (("means", "vector"), ("std_devs", "vector"))),
+    ("pca", (("mean", "vector"), ("components", "matrix"), ("explained_variance", "vector"))),
+    ("training_features", "matrix"),
+    ("training_ages", "vector"),
+    ("log_marginal", "float"),
+    ("restarts_used", "int"),
+    ("restart_log_marginals", "vector"),
+    ("seed", "int"),
+    ("chosen_restart", "int"),
+)
 
 
-def _matrix_lines(tag: str, matrix: np.ndarray) -> list[str]:
-    lines = [f"{tag} {matrix.shape[0]} {matrix.shape[1]}"]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in matrix)
-    return lines
+def _section_lines(tag: str, kind, value) -> list[str]:
+    """The lines of one section holding ``value``."""
+    if isinstance(kind, tuple):
+        if value is None:
+            return [f"{tag} 0"]
+        lines = [f"{tag} 1"]
+        for field, field_kind in kind:
+            lines.extend(_section_lines(field, field_kind, getattr(value, field)))
+        return lines
+    if kind == "names":
+        return [f"{tag} {len(value)}", *value]
+    if kind == "vector":
+        return [f"{tag} {len(value)}", " ".join(_fmt(v) for v in value)]
+    if kind == "matrix":
+        rows = (" ".join(_fmt(v) for v in row) for row in value)
+        return [f"{tag} {value.shape[0]} {value.shape[1]}", *rows]
+    return [f"{tag} {_fmt(value) if kind == 'float' else value}"]
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Serialize a model artifact to the versioned text format."""
     if artifact.format_version != FORMAT_VERSION:
         raise ValueError(f"can only write format version {FORMAT_VERSION}")
-    lines = [
-        f"{_MODEL_MAGIC} v{FORMAT_VERSION}",
-        f"kernel_form {artifact.kernel_form}",
-        f"y_offset {_fmt(artifact.y_offset)}",
-        f"feature_names {len(artifact.feature_names)}",
-    ]
-    lines.extend(artifact.feature_names)
-    lines.extend(_vector_lines("length_scales", artifact.kernel_params.length_scales))
-    lines.append(f"noise_variance {_fmt(artifact.kernel_params.noise_variance)}")
-    if artifact.standardizer is None:
-        lines.append("standardizer 0")
-    else:
-        lines.append("standardizer 1")
-        lines.extend(_vector_lines("means", artifact.standardizer.means))
-        lines.extend(_vector_lines("std_devs", artifact.standardizer.std_devs))
-    if artifact.pca is None:
-        lines.append("pca 0")
-    else:
-        lines.append("pca 1")
-        lines.extend(_vector_lines("mean", artifact.pca.mean))
-        lines.extend(_matrix_lines("components", artifact.pca.components))
-        lines.extend(_vector_lines("explained_variance", artifact.pca.explained_variance))
-    lines.extend(_matrix_lines("training_features", artifact.training_features))
-    lines.extend(_vector_lines("training_ages", artifact.training_ages))
-    meta = artifact.fit_metadata
-    lines.append(f"log_marginal {_fmt(meta.log_marginal)}")
-    lines.append(f"restarts_used {meta.restarts_used}")
-    lines.extend(
-        _vector_lines("restart_log_marginals", np.asarray(meta.restart_log_marginals))
-    )
-    lines.append(f"seed {meta.seed}")
-    lines.append(f"chosen_restart {meta.chosen_restart}")
+    values = {**vars(artifact), **vars(artifact.kernel_params), **vars(artifact.fit_metadata)}
+    lines = [f"{_MODEL_MAGIC} v{FORMAT_VERSION}"]
+    for tag, kind in _MODEL_SECTIONS:
+        lines.extend(_section_lines(tag, kind, values[tag]))
     lines.append("end")
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self._lines = lines
-        self._pos = 0
-
-    def next(self) -> str:
-        if self._pos >= len(self._lines):
-            raise ModelIntegrityError("model file is truncated")
-        line = self._lines[self._pos]
-        self._pos += 1
-        return line
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._lines)
-
-
-def _tagged(reader: _LineReader, tag: str) -> list[str]:
-    line = reader.next()
-    parts = line.split()
+def _read_section(next_line, tag: str, kind):
+    """Parse one section; a block gives a dict of its fields, or None."""
+    header = next_line()
+    parts = header.split()
     if not parts or parts[0] != tag:
-        raise ModelFormatError(f"expected {tag!r} section, found {line!r}")
-    return parts[1:]
-
-
-def _one_int(reader: _LineReader, tag: str) -> int:
-    payload = _tagged(reader, tag)
-    if len(payload) != 1:
-        raise ModelFormatError(f"{tag!r} expects one value")
+        raise ModelFormatError(f"expected {tag!r} section, found {header!r}")
+    if len(parts) != (3 if kind == "matrix" else 2):
+        raise ModelFormatError(f"malformed {tag!r} section header {header!r}")
+    if kind == "word":
+        return parts[1]
+    number = float if kind == "float" else int
     try:
-        return int(payload[0])
+        payload = [number(token) for token in parts[1:]]
     except ValueError:
-        raise ModelFormatError(f"{tag!r} expects an integer, got {payload[0]!r}") from None
-
-
-def _one_float(reader: _LineReader, tag: str) -> float:
-    payload = _tagged(reader, tag)
-    if len(payload) != 1:
-        raise ModelFormatError(f"{tag!r} expects one value")
-    try:
-        return float(payload[0])
-    except ValueError:
-        raise ModelFormatError(f"{tag!r} expects a number, got {payload[0]!r}") from None
-
-
-def _float_row(reader: _LineReader, count: int, tag: str) -> list[float]:
-    tokens = reader.next().split()
-    if len(tokens) != count:
-        raise ModelFormatError(f"{tag!r} row has {len(tokens)} values, expected {count}")
-    try:
-        return [float(token) for token in tokens]
-    except ValueError:
-        raise ModelFormatError(f"{tag!r} row contains a non-numeric value") from None
-
-
-def _read_vector(reader: _LineReader, tag: str) -> np.ndarray:
-    payload = _tagged(reader, tag)
-    if len(payload) != 1:
-        raise ModelFormatError(f"{tag!r} expects a length")
-    try:
-        count = int(payload[0])
-    except ValueError:
-        raise ModelFormatError(f"{tag!r} expects an integer length") from None
-    return np.asarray(_float_row(reader, count, tag), dtype=float)
-
-
-def _read_matrix(reader: _LineReader, tag: str) -> np.ndarray:
-    payload = _tagged(reader, tag)
-    if len(payload) != 2:
-        raise ModelFormatError(f"{tag!r} expects two dimensions")
-    try:
-        n_rows, n_cols = int(payload[0]), int(payload[1])
-    except ValueError:
-        raise ModelFormatError(f"{tag!r} expects integer dimensions") from None
-    rows = [_float_row(reader, n_cols, tag) for _ in range(n_rows)]
-    return np.asarray(rows, dtype=float).reshape(n_rows, n_cols)
+        raise ModelFormatError(f"{tag!r} expects {number.__name__}s, got {header!r}") from None
+    if kind in ("float", "int"):
+        return payload[0]
+    if isinstance(kind, tuple):
+        if payload[0] not in (0, 1):
+            raise ModelFormatError(f"{tag} flag must be 0 or 1")
+        if not payload[0]:
+            return None
+        return {field: _read_section(next_line, field, k) for field, k in kind}
+    if min(payload) < 0:
+        raise ModelFormatError(f"{tag!r} sizes must be non-negative, got {header!r}")
+    if kind == "names":
+        return tuple(next_line() for _ in range(payload[0]))
+    width, values = payload[-1], []
+    for _ in range(payload[0] if kind == "matrix" else 1):
+        row = next_line().split()
+        if len(row) != width:
+            raise ModelFormatError(f"{tag!r} row has {len(row)} values, expected {width}")
+        try:
+            values.extend(map(float, row))
+        except ValueError:
+            raise ModelFormatError(f"{tag!r} row contains a non-numeric value") from None
+    return np.asarray(values, dtype=float).reshape(payload)
 
 
 def load_model(path) -> ModelArtifact:
     """Parse a model artifact, verifying version, structure, and terminator."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
-    reader = _LineReader(lines)
-    first = reader.next().split()
+        lines = iter(handle.read().splitlines())
+
+    def next_line() -> str:
+        line = next(lines, None)
+        if line is None:
+            raise ModelIntegrityError("model file is truncated")
+        return line
+
+    first = next_line().split()
     if len(first) != 2 or first[0] != _MODEL_MAGIC or not first[1].startswith("v"):
         raise ModelFormatError(f"{path}: not a model file (bad magic line)")
     try:
@@ -592,76 +581,34 @@ def load_model(path) -> ModelArtifact:
         raise ModelFormatError(
             f"{path}: unsupported format version {version} (supported: {FORMAT_VERSION})"
         )
-
-    payload = _tagged(reader, "kernel_form")
-    if len(payload) != 1 or payload[0] not in FORMS:
-        raise ModelFormatError(f"kernel_form must be one of {FORMS}")
-    kernel_form = payload[0]
-    y_offset = _one_float(reader, "y_offset")
-    n_names = _one_int(reader, "feature_names")
-    feature_names = tuple(reader.next() for _ in range(n_names))
-    length_scales = _read_vector(reader, "length_scales")
-    noise_variance = _one_float(reader, "noise_variance")
-    std_flag = _one_int(reader, "standardizer")
-    if std_flag not in (0, 1):
-        raise ModelFormatError("standardizer flag must be 0 or 1")
-    std_fields = None
-    if std_flag:
-        std_fields = (_read_vector(reader, "means"), _read_vector(reader, "std_devs"))
-    pca_flag = _one_int(reader, "pca")
-    if pca_flag not in (0, 1):
-        raise ModelFormatError("pca flag must be 0 or 1")
-    pca_fields = None
-    if pca_flag:
-        pca_fields = (
-            _read_vector(reader, "mean"),
-            _read_matrix(reader, "components"),
-            _read_vector(reader, "explained_variance"),
-        )
-    training_features = _read_matrix(reader, "training_features")
-    training_ages = _read_vector(reader, "training_ages")
-    log_marginal = _one_float(reader, "log_marginal")
-    restarts_used = _one_int(reader, "restarts_used")
-    restart_log_marginals = _read_vector(reader, "restart_log_marginals")
-    seed = _one_int(reader, "seed")
-    chosen_restart = _one_int(reader, "chosen_restart")
-    terminator = reader.next()
+    fields = {tag: _read_section(next_line, tag, kind) for tag, kind in _MODEL_SECTIONS}
+    terminator = next_line()
     if terminator != "end":
         raise ModelFormatError(f"expected 'end' terminator, found {terminator!r}")
-    if not reader.exhausted:
+    if next(lines, None) is not None:
         raise ModelFormatError("unexpected content after 'end' terminator")
 
+    standardizer, pca = fields["standardizer"], fields["pca"]
     try:
-        standardizer = (
-            Standardizer(means=std_fields[0], std_devs=std_fields[1]) if std_fields else None
-        )
-        pca = (
-            PcaTransform(
-                mean=pca_fields[0],
-                components=pca_fields[1],
-                explained_variance=pca_fields[2],
-            )
-            if pca_fields
-            else None
-        )
         return ModelArtifact(
-            kernel_form=kernel_form,
-            feature_names=feature_names,
-            training_features=training_features,
-            training_ages=training_ages,
+            kernel_form=fields["kernel_form"],
+            feature_names=fields["feature_names"],
+            training_features=fields["training_features"],
+            training_ages=fields["training_ages"],
             kernel_params=KernelParams(
-                length_scales=length_scales, noise_variance=noise_variance
+                length_scales=fields["length_scales"],
+                noise_variance=fields["noise_variance"],
             ),
             fit_metadata=FitMetadata(
-                log_marginal=log_marginal,
-                restarts_used=restarts_used,
-                restart_log_marginals=tuple(restart_log_marginals),
-                seed=seed,
-                chosen_restart=chosen_restart,
+                log_marginal=fields["log_marginal"],
+                restarts_used=fields["restarts_used"],
+                restart_log_marginals=fields["restart_log_marginals"],
+                seed=fields["seed"],
+                chosen_restart=fields["chosen_restart"],
             ),
-            standardizer=standardizer,
-            pca=pca,
-            y_offset=y_offset,
+            standardizer=Standardizer(**standardizer) if standardizer else None,
+            pca=PcaTransform(**pca) if pca else None,
+            y_offset=fields["y_offset"],
         )
     except ValueError as exc:
         raise ModelFormatError(f"{path}: inconsistent model contents: {exc}") from None

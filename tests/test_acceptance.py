@@ -194,7 +194,7 @@ def test_criterion_5_planted_deviations_are_detected_by_the_right_metric(capsys)
     plain_age = AgeKernelParams()
 
     orthogonal = score_cohort(model, test_cohort("orthogonal", 102), plain_age)
-    auc_cov = roc_auc(orthogonal.cov_score, labels).auc
+    auc_cov = roc_auc(orthogonal.cov, labels).auc
     auc_eps = roc_auc(orthogonal.epsilon, labels).auc
     orth_ok = auc_cov >= 0.80 and auc_cov - auc_eps >= 0.10
 
@@ -205,7 +205,7 @@ def test_criterion_5_planted_deviations_are_detected_by_the_right_metric(capsys)
 
     conditional = test_cohort("age_conditional", 104)
     cond_scores = score_cohort(model, conditional, plain_age)
-    auc_cov_cond = roc_auc(cond_scores.cov_score, labels).auc
+    auc_cov_cond = roc_auc(cond_scores.cov, labels).auc
     finite_grid = tuple(v for v in DEFAULT_LY_GRID if math.isfinite(v))
     sweep = ly_sweep(model, conditional, finite_grid)
     cond_ok = sweep.best_auc - auc_cov_cond >= 0.05
@@ -381,7 +381,7 @@ def test_criterion_8_determinism_and_round_trip(capsys, tmp_path):
     reloaded = to_trained_model(load_model(path))
     after = score_cohort(reloaded, cohort, age_params)
     worst_rel = 0.0
-    for name in ("epsilon", "cov_score", "cov_w_score", "y_hat"):
+    for name in ("epsilon", "cov", "cov_w", "y_hat"):
         a = getattr(before, name)
         b = getattr(after, name)
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-30)

@@ -217,6 +217,34 @@ def test_evaluate_rejects_a_non_finite_score(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evaluate_unknown_or_empty_metric_exits_2(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "id,age,diagnosis,y_hat,epsilon,cov,cov_w\n"
+        "a,50,HC,51,1,0.5,0.5\nb,60,DX,58,-2,0.6,0.7\n"
+    )
+    report = tmp_path / "e.json"
+    for metrics in ("cov,nope", " , "):
+        assert main(["evaluate", str(scores), "--out", str(report), "--metrics", metrics]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_option_defaults_come_from_the_library():
+    from normgp.cli import _build_parser, _parse_grid
+    from normgp.gpr import FitConfig
+    from normgp.stats import DEFAULT_LY_GRID
+
+    parser = _build_parser()
+    fit_args = parser.parse_args(["fit", "train.csv", "--out", "model"])
+    config = FitConfig()
+    assert (fit_args.restarts, fit_args.seed, fit_args.max_iterations) == (
+        config.restarts, config.seed, config.max_iterations
+    )
+    sweep_args = parser.parse_args(["sweep", "model", "test.csv", "--out", "sweep.csv"])
+    assert _parse_grid(sweep_args.ly_grid) == DEFAULT_LY_GRID
+
+
 def test_score_missing_age_column_fails(tmp_path, capsys):
     train = _synth(tmp_path)
     model = _fit(tmp_path, train)

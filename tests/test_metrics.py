@@ -62,15 +62,29 @@ def test_score_cohort_assembles_the_three_metrics():
     weighted = weighted_posterior_cov(model, cohort.features, cohort.age, age_params)
     assert np.array_equal(scores.y_hat, direct.y_hat)
     assert np.array_equal(scores.epsilon, direct.y_hat - cohort.age)
-    assert np.array_equal(scores.cov_score, direct.variance)
-    assert np.array_equal(scores.cov_w_score, weighted.variance)
-    assert scores.age_length_scale_used == 15.0
+    assert np.array_equal(scores.cov, direct.variance)
+    assert np.array_equal(scores.cov_w, weighted.variance)
+    assert scores.subject_ids == cohort.subject_ids
+    assert scores.diagnosis == cohort.diagnosis
+    assert np.array_equal(scores.age, cohort.age)
+
+
+def test_score_cohort_without_labels_gives_empty_diagnosis():
+    model, cohort = _toy_model_and_cohort()
+    unlabeled = Cohort(
+        subject_ids=cohort.subject_ids,
+        features=cohort.features,
+        feature_names=cohort.feature_names,
+        age=cohort.age,
+    )
+    scores = score_cohort(model, unlabeled, AgeKernelParams(age_length_scale=15.0))
+    assert scores.diagnosis == ("",) * cohort.n_subjects
 
 
 def test_score_cohort_infinite_scale_equivalence():
     model, cohort = _toy_model_and_cohort()
     scores = score_cohort(model, cohort, AgeKernelParams(age_length_scale=math.inf))
-    assert np.max(np.abs(scores.cov_w_score - scores.cov_score)) <= 1e-12
+    assert np.max(np.abs(scores.cov_w - scores.cov)) <= 1e-12
 
 
 def test_score_cohort_row_order_permutes_with_input():
@@ -87,8 +101,8 @@ def test_score_cohort_row_order_permutes_with_input():
     )
     permuted = score_cohort(model, shuffled, age_params)
     assert np.array_equal(permuted.epsilon, base.epsilon[perm])
-    assert np.array_equal(permuted.cov_score, base.cov_score[perm])
-    assert np.array_equal(permuted.cov_w_score, base.cov_w_score[perm])
+    assert np.array_equal(permuted.cov, base.cov[perm])
+    assert np.array_equal(permuted.cov_w, base.cov_w[perm])
 
 
 def test_score_cohort_checks_feature_names():
@@ -140,7 +154,7 @@ def test_self_scoring_is_tight_for_a_good_model():
     assert np.mean(np.abs(scores.epsilon)) < 2.0
     from normgp.kernels import zero_distance_value
 
-    assert np.max(scores.cov_score) < 0.5 * zero_distance_value(model.params, model.form)
+    assert np.max(scores.cov) < 0.5 * zero_distance_value(model.params, model.form)
 
 
 def test_cov_w_monotone_in_age_distance_single_train_point():

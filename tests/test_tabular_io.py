@@ -82,6 +82,17 @@ def test_structural_errors(tmp_path):
         load_cohort(write(tmp_path / "nofeat.csv", "id,age\na,50\n"))
 
 
+def test_header_errors_come_before_row_errors(tmp_path):
+    # row 2 is short, but the duplicate and the missing header column are
+    # reported first
+    with pytest.raises(SchemaError, match="duplicate"):
+        load_cohort(write(tmp_path / "dup.csv", "age,v1,v1\n50,1\n"))
+    with pytest.raises(SchemaError, match="'age'"):
+        load_cohort(write(tmp_path / "noage.csv", "id,v1\na\n"))
+    with pytest.raises(SchemaError, match="expected header"):
+        load_scores(write(tmp_path / "s.csv", "id,age,dx,y_hat,epsilon,cov,cov_w\na,50\n"))
+
+
 def test_value_errors_cite_position(tmp_path):
     with pytest.raises(CohortParseError, match="row 2"):
         load_cohort(write(tmp_path / "neg.csv", "age,v1\n-5,1\n"))
@@ -194,6 +205,47 @@ def test_scores_length_mismatch_is_contract_error():
         )
 
 
+def _scores_columns():
+    rng = np.random.default_rng(7)
+    return dict(
+        subject_ids=("a", "b", "c"),
+        age=rng.uniform(20, 80, 3),
+        diagnosis=("HC", "DX", "HC"),
+        y_hat=rng.uniform(20, 80, 3),
+        epsilon=rng.normal(size=3),
+        cov=rng.uniform(0.5, 1.5, 3),
+        cov_w=rng.uniform(0.5, 1.5, 3),
+    )
+
+
+@pytest.mark.parametrize("column", ["age", "y_hat", "epsilon", "cov", "cov_w"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scores_table_rejects_non_finite_values_naming_the_column(column, value):
+    columns = _scores_columns()
+    columns[column][1] = value
+    with pytest.raises(ValueError, match=f"^{column} contains non-finite"):
+        ScoresTable(**columns)
+
+
+@pytest.mark.parametrize("column", ["cov", "cov_w"])
+def test_scores_table_rejects_negative_variances(column):
+    columns = _scores_columns()
+    columns[column] = columns[column] - 2.0
+    with pytest.raises(ValueError, match=f"^{column} must be nonnegative"):
+        ScoresTable(**columns)
+
+
+def test_save_sweep_flags_the_best_value(tmp_path):
+    from normgp.stats import LySweepResult
+
+    result = LySweepResult(
+        rows=((1.0, 0.5), (10.0, 0.75), (math.inf, 0.625)), best_l_y=10.0, best_auc=0.75
+    )
+    path = tmp_path / "sweep.csv"
+    tabular_io.save_sweep(result, path)
+    assert path.read_text() == "l_y,auc,is_best\n1,0.5,0\n10,0.75,1\ninf,0.625,0\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_scores_non_finite_cell_names_row_and_column(tmp_path, value):
     path = tmp_path / "s.csv"
@@ -231,26 +283,120 @@ def _small_artifact(with_chain=False, length_scales=(1.5, 0.5)):
     )
 
 
-def test_model_round_trip_field_for_field(tmp_path):
-    artifact = _small_artifact(with_chain=True)
-    path = tmp_path / "model.gp"
-    save_model(artifact, path)
-    loaded = load_model(path)
-    assert loaded.kernel_form == artifact.kernel_form
-    assert loaded.feature_names == artifact.feature_names
-    assert loaded.y_offset == artifact.y_offset
-    assert np.array_equal(loaded.training_features, artifact.training_features)
-    assert np.array_equal(loaded.training_ages, artifact.training_ages)
-    assert np.array_equal(
-        loaded.kernel_params.length_scales, artifact.kernel_params.length_scales
+def _artifact_with_chain(standardizer, pca):
+    """The small model with the given parts of its chain (without PCA, on three columns)."""
+    full = _small_artifact(with_chain=True)
+    if standardizer and pca:
+        return full
+    x = full.training_features
+    if not pca:
+        x = np.random.default_rng(8).normal(size=(x.shape[0], 3))
+    params = KernelParams(length_scales=np.ones(x.shape[1]), noise_variance=0.2)
+    return artifact_from_fit(
+        restore(x, full.training_ages, params, SUM),
+        full.feature_names,
+        standardizer=full.standardizer if standardizer else None,
+        pca=full.pca if pca else None,
+        seed=5,
     )
-    assert loaded.kernel_params.noise_variance == artifact.kernel_params.noise_variance
-    assert np.array_equal(loaded.standardizer.means, artifact.standardizer.means)
-    assert np.array_equal(loaded.standardizer.std_devs, artifact.standardizer.std_devs)
-    assert np.array_equal(loaded.pca.components, artifact.pca.components)
-    assert np.array_equal(loaded.pca.mean, artifact.pca.mean)
-    assert np.array_equal(loaded.pca.explained_variance, artifact.pca.explained_variance)
-    assert loaded.fit_metadata == artifact.fit_metadata
+
+
+def test_model_round_trip_field_for_field(tmp_path):
+    for standardizer, pca in ((True, True), (False, False), (True, False), (False, True)):
+        artifact = _artifact_with_chain(standardizer, pca)
+        path = tmp_path / f"model-{standardizer}-{pca}.gp"
+        save_model(artifact, path)
+        text = path.read_text()
+        assert ("\nstandardizer 1\n" in text) == standardizer
+        assert ("\npca 1\n" in text) == pca
+        loaded = load_model(path)
+        assert loaded.kernel_form == artifact.kernel_form
+        assert loaded.feature_names == artifact.feature_names
+        assert loaded.y_offset == artifact.y_offset
+        assert np.array_equal(loaded.training_features, artifact.training_features)
+        assert np.array_equal(loaded.training_ages, artifact.training_ages)
+        assert np.array_equal(
+            loaded.kernel_params.length_scales, artifact.kernel_params.length_scales
+        )
+        assert loaded.kernel_params.noise_variance == artifact.kernel_params.noise_variance
+        if standardizer:
+            assert np.array_equal(loaded.standardizer.means, artifact.standardizer.means)
+            assert np.array_equal(loaded.standardizer.std_devs, artifact.standardizer.std_devs)
+        else:
+            assert loaded.standardizer is None
+        if pca:
+            assert np.array_equal(loaded.pca.components, artifact.pca.components)
+            assert np.array_equal(loaded.pca.mean, artifact.pca.mean)
+            assert np.array_equal(
+                loaded.pca.explained_variance, artifact.pca.explained_variance
+            )
+        else:
+            assert loaded.pca is None
+        assert loaded.fit_metadata == artifact.fit_metadata
+        # the loaded artifact writes the same bytes again
+        again = tmp_path / "again.gp"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _edited_model(tmp_path, edit):
+    """Save the small model with its standardizer and PCA, apply ``edit`` to its lines."""
+    path = tmp_path / "model.gp"
+    save_model(_small_artifact(with_chain=True), path)
+    lines = path.read_text().splitlines()
+    edited = tmp_path / "edited.gp"
+    edited.write_text("\n".join(edit(lines)) + "\n")
+    return edited
+
+
+def _replace_header(tag, new):
+    def edit(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[:1] == [tag])
+        return lines[:at] + [new] + lines[at + 1:]
+    return edit
+
+
+def _replace_after_header(tag, offset, new):
+    def edit(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[:1] == [tag]) + offset
+        return lines[:at] + [new(lines[at])] + lines[at + 1:]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (_replace_header("y_offset", "offset 1.5"), ModelFormatError, "expected 'y_offset'"),
+        (_replace_header("feature_names", "feature_names three"), ModelFormatError,
+         "'feature_names' expects int"),
+        (_replace_header("training_features", "training_features 6"), ModelFormatError,
+         "malformed 'training_features'"),
+        (_replace_header("seed", "seed 1 2"), ModelFormatError, "malformed 'seed'"),
+        (_replace_after_header("length_scales", 1, lambda line: "x " + line.split(" ", 1)[1]),
+         ModelFormatError, "'length_scales' row contains a non-numeric value"),
+        (_replace_after_header("means", 1, lambda line: line + " abc"), ModelFormatError,
+         "'means' row has 4 values"),
+        (_replace_after_header("components", 2, lambda line: line.rsplit(" ", 1)[0]),
+         ModelFormatError, "'components' row has 2 values, expected 3"),
+        (_replace_header("standardizer", "standardizer 2"), ModelFormatError,
+         "standardizer flag must be 0 or 1"),
+        (_replace_header("pca", "pca -1"), ModelFormatError, "pca flag must be 0 or 1"),
+        (_replace_header("training_ages", "training_ages -6"), ModelFormatError,
+         "non-negative"),
+        (_replace_header("kernel_form", "kernel_form cubic"), ModelFormatError,
+         "unknown kernel form 'cubic'"),
+        (lambda lines: lines[:lines.index("training_features 6 2") + 3], ModelIntegrityError,
+         "truncated"),
+        (lambda lines: lines[:-1] + ["fin"], ModelFormatError, "'end' terminator"),
+    ],
+    ids=["wrong-tag", "non-integer-count", "matrix-header-arity", "int-header-arity",
+         "non-numeric-vector-value", "vector-row-width", "matrix-row-width",
+         "standardizer-2", "pca-negative", "negative-length", "unknown-kernel",
+         "cut-inside-matrix", "no-end"],
+)
+def test_model_malformed_section(tmp_path, edit, error, message):
+    with pytest.raises(error, match=message):
+        load_model(_edited_model(tmp_path, edit))
 
 
 def test_model_round_trip_preserves_tiny_length_scale(tmp_path):
