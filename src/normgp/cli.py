@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -124,7 +123,6 @@ def cmd_fit(args) -> int:
             "seed": args.seed,
             "center_ages": bool(args.center_ages),
             "max_iterations": args.max_iterations,
-            "threads": os.environ.get("NORMATIVE_GP_THREADS"),
         },
         "data": {
             "n_subjects": len(cohort.subject_ids),

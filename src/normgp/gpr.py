@@ -14,8 +14,6 @@ requested.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,20 +227,15 @@ def _lml_value(chol: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
 
 
 def _lml_and_gradient(
-    theta: np.ndarray,
-    distances: PairDistances,
-    y: np.ndarray,
-    form: str,
-    workspace: tuple,
+    theta: np.ndarray, distances: PairDistances, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and gradient over (log l_1..log l_K, log noise).
 
-    ``workspace`` is the caller's own, from ``distances.workspace(form)``.
     Raises ConditioningError when the Gram matrix cannot be factorized.
     """
     n_features = distances.squared.shape[0]
     params = _params_from_log(theta, n_features)
-    chol, _ = stable_cholesky(distances.gram(params, form, workspace))
+    chol, _ = stable_cholesky(distances.gram(params))
     alpha = cho_solve((chol, True), y, check_finite=False)
     value = _lml_value(chol, alpha, y)
 
@@ -255,7 +248,7 @@ def _lml_and_gradient(
     weights = alpha[distances.rows] * alpha[distances.cols]
     weights -= k_inv[distances.rows, distances.cols]
     grad = np.empty(n_features + 1)
-    grad[:n_features] = distances.gradient(weights, params, form, workspace)
+    grad[:n_features] = distances.gradient(weights, params)
     grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
     return value, grad
 
@@ -267,42 +260,22 @@ def log_marginal_likelihood(params: KernelParams, form: str, x, y) -> float:
 
 def lml_gradient(params: KernelParams, form: str, x, y) -> np.ndarray:
     """Gradient of the log marginal likelihood in log-parameter space."""
-    if form not in FORMS:
-        raise ValueError(f"unknown kernel form {form!r}")
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
-    distances = PairDistances(x)
-    _, grad = _lml_and_gradient(
-        _log_params(params), distances, y, form, distances.workspace(form)
-    )
+    _, grad = _lml_and_gradient(_log_params(params), PairDistances(x, form), y)
     return grad
-
-
-def _restart_workers(n_tasks: int) -> int:
-    """Worker count for concurrent restarts, capped by NORMATIVE_GP_THREADS."""
-    raw = os.environ.get("NORMATIVE_GP_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError("NORMATIVE_GP_THREADS must be an integer") from exc
-        if cap < 1:
-            raise ValueError("NORMATIVE_GP_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
 
 
 def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
     """Train the GP by maximizing the log marginal likelihood.
 
-    Runs ``config.restarts`` independent L-BFGS-B starts (drawn upfront from
-    the seeded restart substream, so the outcome is independent of worker
-    scheduling) and keeps the restart with the highest final log marginal
-    likelihood; ties break toward the lowest restart index. Initial length
-    scales are log-uniform in (0.1, 10) times each feature's standard
-    deviation; initial noise variance is 0.1 * var(y). The model is then
-    factorized by ``restore`` at the chosen optimum.
+    Runs ``config.restarts`` independent L-BFGS-B starts one after another
+    (drawn upfront from the seeded restart substream) and keeps the restart
+    with the highest final log marginal likelihood; ties break toward the
+    lowest restart index. Initial length scales are log-uniform in (0.1, 10)
+    times each feature's standard deviation; initial noise variance is
+    0.1 * var(y). The model is then factorized by ``restore`` at the chosen
+    optimum.
     """
     cfg = config if config is not None else FitConfig()
     x = _validated_features(x)
@@ -328,21 +301,19 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
         inits.append(np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND))
 
     bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
-    distances = PairDistances(x)
+    distances = PairDistances(x, cfg.form)
     # Imported here: scipy.optimize is slow to load and only training needs it.
     # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
     from scipy import optimize
 
+    def objective(theta):
+        try:
+            value, grad = _lml_and_gradient(theta, distances, centered)
+        except ConditioningError:
+            return _FAILURE_OBJECTIVE, np.zeros_like(theta)
+        return -value, -grad
+
     def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
-        workspace = distances.workspace(cfg.form)
-
-        def objective(theta):
-            try:
-                value, grad = _lml_and_gradient(theta, distances, centered, cfg.form, workspace)
-            except ConditioningError:
-                return _FAILURE_OBJECTIVE, np.zeros_like(theta)
-            return -value, -grad
-
         result = optimize.minimize(
             objective,
             theta0,
@@ -355,8 +326,7 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
             return -math.inf, None
         return float(-result.fun), np.asarray(result.x)
 
-    with ThreadPoolExecutor(max_workers=_restart_workers(cfg.restarts)) as pool:
-        outcomes = list(pool.map(run_restart, inits))
+    outcomes = [run_restart(theta0) for theta0 in inits]
 
     best_index = -1
     best_value = -math.inf
@@ -417,22 +387,28 @@ def restore(
 
 
 def _posterior_variance(
-    chol: np.ndarray, k_star: np.ndarray, prior: float
-) -> tuple[np.ndarray, np.ndarray]:
+    chol: np.ndarray, k_star: np.ndarray, prior: float, k_tt: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Posterior variance diagonal from the cross Gram block.
 
-    Clamps tiny negative values (>= -1e-10) to zero; anything more negative
-    is a genuine numerical failure.
+    Given the test-test prior block ``k_tt``, also returns the full
+    covariance, with the clamped variance on its diagonal exactly. Clamps
+    tiny negative values (>= -1e-10) to zero; anything more negative is a
+    genuine numerical failure. The solve's n x m block is squared in place.
     """
     v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
-    raw = prior - np.sum(v * v, axis=0)
+    cov = None if k_tt is None else k_tt - v.T @ v
+    raw = prior - np.sum(np.multiply(v, v, out=v), axis=0)
     worst = float(raw.min()) if raw.size else 0.0
     if worst < _NEGATIVE_VARIANCE_TOLERANCE:
         raise NumericalError(
             f"posterior variance {worst:.6e} is below the clamping tolerance "
             f"{_NEGATIVE_VARIANCE_TOLERANCE:.1e}"
         )
-    return np.where(raw < 0.0, 0.0, raw), v
+    variance = np.where(raw < 0.0, 0.0, raw)
+    if cov is not None:
+        np.fill_diagonal(cov, variance)
+    return variance, cov
 
 
 def _cross_block(model: TrainedModel, xt: np.ndarray, grams: FeatureGrams | None) -> np.ndarray:
@@ -463,14 +439,10 @@ def predict(
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     k_star = _cross_block(model, xt, grams)
     y_hat = k_star @ model.alpha + model.y_offset
-    variance, v = _posterior_variance(
-        model.chol, k_star, zero_distance_value(model.params, model.form)
+    k_tt = gram_matrix(xt, xt, model.params, model.form) if full_cov else None
+    variance, cov = _posterior_variance(
+        model.chol, k_star, zero_distance_value(model.params, model.form), k_tt
     )
-    cov = None
-    if full_cov:
-        k_tt = gram_matrix(xt, xt, model.params, model.form)
-        cov = k_tt - v.T @ v
-        np.fill_diagonal(cov, variance)
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
 
@@ -528,15 +500,13 @@ def weighted_posterior_cov(
     if not unweighted:  # at l_y = inf the age factor is exactly one
         factor = age_factor(ages, model.y, age_params)
         k_star = np.multiply(factor, k_star, out=factor)
-    variance, v = _posterior_variance(
-        chol, k_star, zero_distance_value(model.params, model.form)
-    )
-    cov = None
+    k_tt = None
     if full_cov:
         k_tt = gram_matrix(
             xt, xt, model.params, model.form,
             age_params=age_params, ages_a=ages, ages_b=ages,
         )
-        cov = k_tt - v.T @ v
-        np.fill_diagonal(cov, variance)
+    variance, cov = _posterior_variance(
+        chol, k_star, zero_distance_value(model.params, model.form), k_tt
+    )
     return WeightedCovariance(variance=variance, full_cov=cov, jitter=jitter)

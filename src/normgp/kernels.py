@@ -200,44 +200,45 @@ class PairDistances:
     """Per-feature squared distances ``S_k`` between the rows ``i > j`` of ``x``.
 
     They do not depend on the hyperparameters, so a fit builds them once and
-    its optimizer restarts share them read-only, each through its own
-    ``workspace``. A same-set Gram matrix needs only its strict lower
-    triangle and known diagonal, which halves storage and kernel work.
+    every evaluation of its optimizer restarts reuses them, together with
+    the pair buffers of ``form``'s kernel that this object owns. One
+    instance serves one thread. A same-set Gram matrix needs only its strict
+    lower triangle and known diagonal, which halves storage and kernel work.
     """
 
-    def __init__(self, x: np.ndarray):
+    def __init__(self, x: np.ndarray, form: str):
+        _check_form(form)
+        self.form = form
         self.n_rows, n_features = x.shape
         self.rows, self.cols = np.tril_indices(self.n_rows, -1)
         self.squared = np.empty((n_features, self.rows.size))
         for dim, out in enumerate(self.squared):
             np.subtract(x[self.rows, dim], x[self.cols, dim], out=out)
             np.multiply(out, out, out=out)
+        # The pair kernel, and each feature's term for the sum form.
+        self._kernel = np.empty(self.rows.size)
+        self._terms = (
+            np.empty(self.squared.shape) if form == SUM else repeat(np.empty(self.rows.size))
+        )
 
-    def workspace(self, form: str) -> tuple:
-        """One thread's buffers: the pair kernel, and each feature's term for the sum form."""
-        n_pairs = self.rows.size
-        terms = np.empty(self.squared.shape) if form == SUM else repeat(np.empty(n_pairs))
-        return np.empty(n_pairs), terms
-
-    def gram(self, params: KernelParams, form: str, workspace: tuple) -> np.ndarray:
+    def gram(self, params: KernelParams) -> np.ndarray:
         """Same-set Gram matrix, zero above the diagonal: a lower Cholesky reads no more."""
-        kernel, terms = workspace
-        _feature_kernel(form, self.squared, params.length_scales, kernel, terms)
+        _feature_kernel(self.form, self.squared, params.length_scales, self._kernel, self._terms)
         k = np.zeros((self.n_rows, self.n_rows))
-        k[self.rows, self.cols] = kernel
-        np.fill_diagonal(k, prior_variance(params, form))
+        k[self.rows, self.cols] = self._kernel
+        np.fill_diagonal(k, prior_variance(params, self.form))
         return k
 
-    def gradient(self, weights, params: KernelParams, form: str, workspace: tuple):
+    def gradient(self, weights, params: KernelParams):
         """``sum_p weights[p] * dk_p / dlog l_k`` for each length scale ``l_k``.
 
-        ``workspace`` must be as the last ``gram`` at ``params`` left it;
-        this overwrites its terms. ``dk / dlog l_k`` is ``S_k / l_k^2`` times
-        the feature's exponential (sum form) or the whole kernel (product).
+        The buffers must be as the last ``gram`` at ``params`` left them;
+        this overwrites the feature terms. ``dk / dlog l_k`` is
+        ``S_k / l_k^2`` times the feature's exponential (sum form) or the
+        whole kernel (product).
         """
-        kernel, terms = workspace
-        if form == SUM:
-            sums = np.multiply(terms, self.squared, out=terms) @ weights
+        if self.form == SUM:
+            sums = np.multiply(self._terms, self.squared, out=self._terms) @ weights
         else:
-            sums = self.squared @ (weights * kernel)
+            sums = self.squared @ (weights * self._kernel)
         return sums / (params.length_scales * params.length_scales)

@@ -255,14 +255,6 @@ def save_cohort(cohort: Cohort, path) -> None:
     _atomic_write_text(path, buffer.getvalue())
 
 
-def sex_to_indicator(sex: tuple[str, ...]) -> np.ndarray:
-    """Encode sex labels numerically: F -> 0, M -> 1."""
-    try:
-        return np.asarray([SEX_CODES[s] for s in sex], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"unknown sex label {exc.args[0]!r}") from None
-
-
 @dataclass(frozen=True)
 class ScoresTable:
     """Per-subject abnormality scores, one row per subject.

@@ -1,6 +1,7 @@
 import dataclasses
 import math
-import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,19 +117,18 @@ def _dense_gradient(params, form, x, y):
 
 @pytest.mark.parametrize("form", [SUM, PRODUCT])
 def test_shared_distances_evaluation_matches_public_lml_and_gradient(form):
-    # one PairDistances and one workspace serve a sequence of evaluations,
-    # as in an optimizer restart; buffer reuse must not leak between them
+    # one PairDistances and its buffers serve a sequence of evaluations, as
+    # in a fit's optimizer restarts; buffer reuse must not leak between them
     rng = np.random.default_rng(21)
     x = rng.normal(size=(14, 4))
     y = rng.uniform(20, 80, 14) - 50.0
-    distances = PairDistances(x)
-    workspace = distances.workspace(form)
+    distances = PairDistances(x, form)
     for _ in range(4):
         params = KernelParams(
             length_scales=rng.uniform(0.3, 3.0, 4), noise_variance=float(rng.uniform(0.05, 2))
         )
         theta = np.log(np.append(params.length_scales, params.noise_variance))
-        value, grad = _lml_and_gradient(theta, distances, y, form, workspace)
+        value, grad = _lml_and_gradient(theta, distances, y)
         assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
         public = lml_gradient(params, form, x, y)
         assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
@@ -147,10 +147,9 @@ def test_shared_distances_evaluation_matches_public_functions_when_jittered(form
     params = KernelParams(length_scales=np.array([0.8, 1.5, 1.1]), noise_variance=0.0)
     _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
     assert jitter > 0.0
-    distances = PairDistances(x)
     with np.errstate(divide="ignore"):
         theta = np.log(np.append(params.length_scales, 0.0))
-    value, grad = _lml_and_gradient(theta, distances, y, form, distances.workspace(form))
+    value, grad = _lml_and_gradient(theta, PairDistances(x, form), y)
     assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
     public = lml_gradient(params, form, x, y)
     assert np.allclose(grad, public, rtol=1e-12, atol=1e-12 * np.abs(public).max())
@@ -169,12 +168,10 @@ def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
 
     rng = np.random.default_rng(24)
     x = rng.normal(size=(5, 2))
-    distances = PairDistances(x)
+    distances = PairDistances(x, SUM)
     monkeypatch.setattr(gpr, "stable_cholesky", singular_factor)
     with np.errstate(all="ignore"), pytest.raises(ConditioningError, match="info"):
-        _lml_and_gradient(
-            np.zeros(3), distances, rng.normal(size=5), SUM, distances.workspace(SUM)
-        )
+        _lml_and_gradient(np.zeros(3), distances, rng.normal(size=5))
 
 
 def test_gradient_of_constant_feature_is_zero_for_product_form():
@@ -235,51 +232,22 @@ def test_fit_deterministic_given_seed():
     assert np.array_equal(a.alpha, b.alpha)
 
 
-def test_fit_thread_cap_does_not_change_result(monkeypatch):
+def test_fit_runs_every_restart_on_the_calling_thread(monkeypatch):
+    from scipy import optimize
+
+    minimize = optimize.minimize
+    threads = []
+
+    def recording_minimize(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", recording_minimize)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(10, 2))
     y = rng.uniform(20, 80, 10)
-    config = FitConfig(restarts=3, seed=4)
-    monkeypatch.setenv("NORMATIVE_GP_THREADS", "1")
-    serial = fit(x, y, config)
-    monkeypatch.setenv("NORMATIVE_GP_THREADS", "3")
-    threaded = fit(x, y, config)
-    assert np.array_equal(serial.params.length_scales, threaded.params.length_scales)
-    assert serial.params.noise_variance == threaded.params.noise_variance
-    assert serial.chosen_restart == threaded.chosen_restart
-
-
-def test_restart_threads_sharing_pair_distances_match_a_serial_fit(monkeypatch):
-    # more threads than cores and frequent switches: restarts share the pair
-    # distances, so any buffer one thread wrote under another would show here
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(24, 3))
-    y = rng.uniform(20, 80, 24)
-    for form in (SUM, PRODUCT):
-        config = FitConfig(form=form, restarts=4, seed=5, max_iterations=15)
-        monkeypatch.setenv("NORMATIVE_GP_THREADS", "1")
-        serial = fit(x, y, config)
-        monkeypatch.setenv("NORMATIVE_GP_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            threaded = fit(x, y, config)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.restart_log_marginals == serial.restart_log_marginals
-        assert np.array_equal(threaded.params.length_scales, serial.params.length_scales)
-
-
-def test_thread_env_var_validation(monkeypatch):
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(6, 2))
-    y = rng.uniform(20, 80, 6)
-    monkeypatch.setenv("NORMATIVE_GP_THREADS", "zero")
-    with pytest.raises(ValueError):
-        fit(x, y, FitConfig(restarts=2))
-    monkeypatch.setenv("NORMATIVE_GP_THREADS", "0")
-    with pytest.raises(ValueError):
-        fit(x, y, FitConfig(restarts=2))
+    fit(x, y, FitConfig(restarts=3, seed=4))
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_fit_records_per_restart_trace():
@@ -542,6 +510,25 @@ def test_full_cov_diagonal_equals_variance_exactly():
     x, y, x_test, _, params, form = random_instance(rng)
     result = predict(restore(x, y, params, form), x_test, full_cov=True)
     assert np.array_equal(np.diagonal(result.full_cov), result.variance)
+
+
+def test_weighted_variance_holds_one_test_by_training_block():
+    # v is squared in place, so past its inputs a call holds the triangular
+    # solve's n x m block and a few vectors, not a second n x m block
+    rng = np.random.default_rng(23)
+    n, m = 2000, 200
+    x = rng.normal(size=(m, 3))
+    model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(3), 0.5), SUM)
+    x_test = rng.normal(size=(n, 3))
+    ages = rng.uniform(20, 80, n)
+    grams = feature_grams(model, x_test, train=False)
+    tracemalloc.start()
+    try:
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(), grams=grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * m * 8
 
 
 def test_stable_cholesky_clean_matrix_needs_no_jitter():

@@ -309,6 +309,5 @@ def test_pair_distance_gram_is_the_lower_triangle_of_gram_matrix(form):
     rng = np.random.default_rng(20)
     params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 5), noise_variance=0.4)
     x = rng.normal(size=(11, 5))
-    distances = PairDistances(x)
-    pair = distances.gram(params, form, distances.workspace(form))
+    pair = PairDistances(x, form).gram(params)
     assert np.array_equal(pair, np.tril(gram_matrix(x, x, params, form, same_set=True)))

@@ -25,7 +25,6 @@ from normgp.tabular_io import (
     save_cohort,
     save_model,
     save_scores,
-    sex_to_indicator,
     to_trained_model,
 )
 
@@ -115,9 +114,6 @@ def test_sex_parsing_and_indicator(tmp_path):
         write(tmp_path / "c.csv", "age,sex,v1\n50,F,1\n60,M,2\n")
     )
     assert cohort.sex == ("F", "M")
-    assert np.array_equal(sex_to_indicator(cohort.sex), [0.0, 1.0])
-    with pytest.raises(ValueError):
-        sex_to_indicator(("F", "Q"))
 
 
 def test_cohort_round_trip_is_exact(tmp_path):
