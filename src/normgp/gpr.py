@@ -7,8 +7,10 @@ Cholesky factor through LAPACK ``dpotri``. Inference goes through
 a cached Cholesky factorization of the training Gram matrix — never an
 explicit inverse. The age-weighted posterior variance reweights the
 unweighted feature Gram blocks by an age factor, reusing the fitted
-hyperparameters; only the diagonal is formed unless the full covariance is
-requested.
+hyperparameters, and forms only the variance diagonal.
+
+scipy is imported inside the functions that factorize or solve, so a stage
+that never touches a Gram matrix never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
 
 from .errors import ConditioningError, NumericalError
 from .kernels import (
@@ -70,6 +70,8 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     ConditioningError
         When every attempt fails; carries the attempted jitter ladder.
     """
+    from scipy.linalg import cholesky
+
     k = np.asarray(matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("matrix must be square")
@@ -149,10 +151,6 @@ class TrainedModel:
     def n_training(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -165,13 +163,12 @@ class PredictionResult:
 
 @dataclass(frozen=True)
 class WeightedCovariance:
-    """Posterior variance (and optional full covariance) under the age-weighted kernel.
+    """Posterior variance under the age-weighted kernel.
 
     ``jitter`` is the diagonal jitter of the weighted training factorization.
     """
 
     variance: np.ndarray
-    full_cov: np.ndarray | None
     jitter: float
 
 
@@ -209,11 +206,6 @@ def _validated_targets(y, n_rows: int) -> np.ndarray:
     return arr
 
 
-def _log_params(params: KernelParams) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.concatenate([params.length_scales, [params.noise_variance]]))
-
-
 def _params_from_log(theta: np.ndarray, n_features: int) -> KernelParams:
     return KernelParams(
         length_scales=np.exp(theta[:n_features]),
@@ -233,6 +225,9 @@ def _lml_and_gradient(
 
     Raises ConditioningError when the Gram matrix cannot be factorized.
     """
+    from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dpotri
+
     n_features = distances.squared.shape[0]
     params = _params_from_log(theta, n_features)
     chol, _ = stable_cholesky(distances.gram(params))
@@ -256,14 +251,6 @@ def _lml_and_gradient(
 def log_marginal_likelihood(params: KernelParams, form: str, x, y) -> float:
     """Log marginal likelihood -1/2 y'K^-1 y - 1/2 log|K| - (m/2) log 2pi."""
     return restore(x, y, params, form).log_marginal_likelihood
-
-
-def lml_gradient(params: KernelParams, form: str, x, y) -> np.ndarray:
-    """Gradient of the log marginal likelihood in log-parameter space."""
-    x = _validated_features(x, params.n_features)
-    y = _validated_targets(y, x.shape[0])
-    _, grad = _lml_and_gradient(_log_params(params), PairDistances(x, form), y)
-    return grad
 
 
 def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
@@ -363,6 +350,8 @@ def restore(
     regression runs on ``y - y_offset``. ``restart_log_marginals`` defaults
     to this model's own log marginal likelihood.
     """
+    from scipy.linalg import cho_solve
+
     if form not in FORMS:
         raise ValueError(f"unknown kernel form {form!r}")
     x = _validated_features(x, params.n_features)
@@ -396,6 +385,8 @@ def _posterior_variance(
     tiny negative values (>= -1e-10) to zero; anything more negative is a
     genuine numerical failure. The solve's n x m block is squared in place.
     """
+    from scipy.linalg import solve_triangular
+
     v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
     cov = None if k_tt is None else k_tt - v.T @ v
     raw = prior - np.sum(np.multiply(v, v, out=v), axis=0)
@@ -461,7 +452,6 @@ def weighted_posterior_cov(
     test_ages,
     age_params: AgeKernelParams,
     *,
-    full_cov: bool = False,
     grams: FeatureGrams | None = None,
 ) -> WeightedCovariance:
     """Posterior variance under the age-weighted kernel.
@@ -475,8 +465,7 @@ def weighted_posterior_cov(
     the result reproduces ``predict`` exactly.
 
     Only the variance diagonal is formed, in O(n*m) memory for n test rows
-    and m training rows; ``full_cov=True`` also builds the n x n test block
-    and the full covariance. ``grams`` passes feature blocks from
+    and m training rows. ``grams`` passes feature blocks from
     ``feature_grams`` for the same ``x_test``, so a sweep over age
     parameters builds them once.
     """
@@ -500,13 +489,7 @@ def weighted_posterior_cov(
     if not unweighted:  # at l_y = inf the age factor is exactly one
         factor = age_factor(ages, model.y, age_params)
         k_star = np.multiply(factor, k_star, out=factor)
-    k_tt = None
-    if full_cov:
-        k_tt = gram_matrix(
-            xt, xt, model.params, model.form,
-            age_params=age_params, ages_a=ages, ages_b=ages,
-        )
-    variance, cov = _posterior_variance(
-        chol, k_star, zero_distance_value(model.params, model.form), k_tt
+    variance, _ = _posterior_variance(
+        chol, k_star, zero_distance_value(model.params, model.form)
     )
-    return WeightedCovariance(variance=variance, full_cov=cov, jitter=jitter)
+    return WeightedCovariance(variance=variance, jitter=jitter)

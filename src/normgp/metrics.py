@@ -75,6 +75,15 @@ def score_cohort(
     )
 
 
+def _mae_and_r2(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """MAE and R2 of predictions; R2 is nan when the ages are constant."""
+    errors = predicted - y
+    mae = float(np.mean(np.abs(errors)))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum(errors**2)) / ss_tot if ss_tot > 0.0 else math.nan
+    return mae, r2
+
+
 def cross_validated_quality(x, y, folds: int, config: FitConfig | None = None) -> FitQualityReport:
     """K-fold cross-validated MAE and R2 of the age regression.
 
@@ -104,17 +113,7 @@ def cross_validated_quality(x, y, folds: int, config: FitConfig | None = None) -
         fold_model = fit(x[mask], y[mask], cfg)
         predicted = predict(fold_model, x[chunk]).y_hat
         pooled[chunk] = predicted
-        errors = predicted - y[chunk]
-        fold_mae = float(np.mean(np.abs(errors)))
-        ss_tot = float(np.sum((y[chunk] - np.mean(y[chunk])) ** 2))
-        if ss_tot > 0.0:
-            fold_r2 = 1.0 - float(np.sum(errors**2)) / ss_tot
-        else:
-            fold_r2 = math.nan
-        per_fold.append((fold_mae, fold_r2))
+        per_fold.append(_mae_and_r2(predicted, y[chunk]))
 
-    residuals = pooled - y
-    mae = float(np.mean(np.abs(residuals)))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - float(np.sum(residuals**2)) / ss_tot if ss_tot > 0.0 else math.nan
+    mae, r2 = _mae_and_r2(pooled, y)
     return FitQualityReport(mae=mae, r2=r2, per_fold=tuple(per_fold), folds=folds)

@@ -69,20 +69,14 @@ class LySweepResult:
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks starting at 1 with ties averaged, plus tie-group sizes."""
-    n = values.shape[0]
     order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    ranks = np.empty(n)
-    tie_sizes = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.asarray(tie_sizes, dtype=float)
+    _, counts = np.unique(values[order], return_counts=True)
+    # A tie group spanning sorted positions i..j ends at last = j + 1 and
+    # gets the mean rank 0.5 * (i + j) + 1.
+    last = np.cumsum(counts)
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.repeat(0.5 * (2 * last - counts - 1) + 1.0, counts)
+    return ranks, counts.astype(float)
 
 
 def _exact_rank_sum_counts(n_total: int, k: int) -> np.ndarray:
@@ -145,11 +139,11 @@ def rank_sum_test(group_a, group_b) -> RankSumResult:
     return RankSumResult(u_statistic=u1, z_value=z, p_value=p, method="normal_approx")
 
 
-def roc_auc(scores, labels, positive_is_high: bool = True) -> RocResult:
+def roc_auc(scores, labels) -> RocResult:
     """ROC curve and trapezoidal AUC, using each distinct score as threshold.
 
-    ``positive_is_high=False`` ranks by negated scores (thresholds are then
-    reported in the negated domain).
+    Higher scores rank as more positive; pass negated scores for the other
+    orientation.
     """
     s = np.asarray(scores, dtype=float).reshape(-1)
     y = np.asarray(labels).reshape(-1).astype(bool)
@@ -159,8 +153,6 @@ def roc_auc(scores, labels, positive_is_high: bool = True) -> RocResult:
         raise ValueError("scores contain non-finite values")
     if not (y.any() and (~y).any()):
         raise ValueError("both classes must be present")
-    if not positive_is_high:
-        s = -s
     order = np.argsort(-s, kind="mergesort")
     sorted_scores = s[order]
     positives = y[order].astype(float)

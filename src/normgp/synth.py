@@ -65,10 +65,6 @@ class AgingTrajectory:
     width: np.ndarray
     age_range: tuple[float, float]
 
-    @property
-    def n_features(self) -> int:
-        return self.linear.shape[0]
-
     def _rescale(self, ages: np.ndarray) -> np.ndarray:
         low, high = self.age_range
         mid = 0.5 * (low + high)
@@ -155,18 +151,16 @@ def generate_cohort(config: SynthConfig) -> Cohort:
 
     if n_diseased > 0 and config.deviation_mode != "none" and displacement > 0.0:
         sick = slice(n_healthy, total)
+        tangents = trajectory.tangent_at(ages[sick])
         if config.deviation_mode == "accelerated_aging":
-            tangents = trajectory.tangent_at(ages[sick])
             norms = np.linalg.norm(tangents, axis=1, keepdims=True)
             features[sick] += displacement * tangents / np.maximum(norms, 1e-12)
         elif config.deviation_mode == "orthogonal":
-            tangents = trajectory.tangent_at(ages[sick])
             features[sick] += displacement * _orthogonal_directions(tangents, rng)
         elif config.deviation_mode == "age_conditional":
             # Offset the recorded age by the number of years whose
             # along-trajectory displacement matches the feature-space
             # magnitude used by the other modes.
-            tangents = trajectory.tangent_at(ages[sick])
             years = displacement / np.maximum(np.linalg.norm(tangents, axis=1), 1e-12)
             signs = np.where(rng.random(n_diseased) < 0.5, -1.0, 1.0)
             shifted = ages[sick] + signs * years

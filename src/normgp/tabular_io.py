@@ -27,12 +27,12 @@ from .preprocess import PcaTransform, Standardizer
 FORMAT_VERSION = 1
 _MODEL_MAGIC = "normative-gp-model"
 SCORES_HEADER = ("id", "age", "diagnosis", "y_hat", "epsilon", "cov", "cov_w")
-SEX_CODES = {"F": 0.0, "M": 1.0}
 # Column roles of a cohort CSV; every other column is a numeric feature. The
 # diagnosis is recognized under either name, and a file may hold only one.
 _AGE_COLUMN = "age"
 _ID_COLUMN = "id"
 _SEX_COLUMN = "sex"
+_SEX_VALUES = ("F", "M")
 _DIAGNOSIS_COLUMNS = ("dx", "diagnosis")
 
 
@@ -212,7 +212,7 @@ def load_cohort(path) -> Cohort:
         ids.append(cell(parts, _ID_COLUMN, row_num) if has_id else str(row_num - 2))
         if has_sex:
             sex = cell(parts, _SEX_COLUMN, row_num)
-            if sex not in SEX_CODES:
+            if sex not in _SEX_VALUES:
                 raise CohortParseError(
                     f"{path}: row {row_num}, column {_SEX_COLUMN!r}: "
                     f"expected F or M, got {sex!r}"
@@ -380,7 +380,6 @@ class ModelArtifact:
     standardizer: Standardizer | None = None
     pca: PcaTransform | None = None
     y_offset: float = 0.0
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -502,8 +501,6 @@ def _section_lines(tag: str, kind, value) -> list[str]:
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Serialize a model artifact to the versioned text format."""
-    if artifact.format_version != FORMAT_VERSION:
-        raise ValueError(f"can only write format version {FORMAT_VERSION}")
     values = {**vars(artifact), **vars(artifact.kernel_params), **vars(artifact.fit_metadata)}
     lines = [f"{_MODEL_MAGIC} v{FORMAT_VERSION}"]
     for tag, kind in _MODEL_SECTIONS:

@@ -91,6 +91,24 @@ def naive_lml(params, form, x, y):
     return -0.5 * quad - 0.5 * logdet - 0.5 * y.shape[0] * math.log(2.0 * math.pi)
 
 
+def naive_midranks(values):
+    """Ranks from 1 with ties averaged, plus tie-group sizes, by a scan of the sorted values."""
+    n = values.shape[0]
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    ranks = np.empty(n)
+    tie_sizes = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        tie_sizes.append(j - i + 1)
+        i = j + 1
+    return ranks, np.asarray(tie_sizes, dtype=float)
+
+
 def random_instance(rng, max_train=12, max_test=6, max_features=4, min_noise=0.05):
     """A well-conditioned random GP problem for oracle comparisons."""
     m = int(rng.integers(2, max_train + 1))

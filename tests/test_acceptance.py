@@ -19,14 +19,21 @@ from conftest import naive_posterior, random_age_params, random_instance
 from normgp.cli import main as cli_main
 from normgp.gpr import (
     FitConfig,
+    _lml_and_gradient,
     fit,
     log_marginal_likelihood,
-    lml_gradient,
     predict,
     restore,
     weighted_posterior_cov,
 )
-from normgp.kernels import PRODUCT, SUM, AgeKernelParams, KernelParams, gram_matrix
+from normgp.kernels import (
+    PRODUCT,
+    SUM,
+    AgeKernelParams,
+    KernelParams,
+    PairDistances,
+    gram_matrix,
+)
 from normgp.metrics import score_cohort
 from normgp.stats import (
     DEFAULT_LY_GRID,
@@ -79,10 +86,10 @@ def test_criterion_2_lml_gradient_matches_finite_differences(capsys):
     failures = 0
     for _ in range(100):
         x, y, _, _, params, form = random_instance(rng, max_train=10)
-        analytic = lml_gradient(params, form, x, y)
         theta = np.concatenate(
             [np.log(params.length_scales), [math.log(params.noise_variance)]]
         )
+        _, analytic = _lml_and_gradient(theta, PairDistances(x, form), y)
         for i in range(theta.shape[0]):
             hi_t, lo_t = theta.copy(), theta.copy()
             hi_t[i] += step

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from normgp.cli import main
-from normgp.tabular_io import load_scores
+from normgp.tabular_io import ScoresTable, load_scores, save_scores
 
 
 def _synth(tmp_path, name="train.csv", **overrides):
@@ -335,15 +335,43 @@ def test_module_entrypoint_help():
         assert command in result.stdout
 
 
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
-    # only fit needs the optimizer and only fixed effects need scipy.stats
-    code = (
-        "import sys, normgp.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
-    )
+    # scipy is imported where a stage factorizes, optimizes or runs a t-test
+    code = f"import sys, normgp.cli; {_LOADED_SCIPY}"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_synth_and_evaluate_run_without_loading_scipy(tmp_path):
+    rng = np.random.default_rng(5)
+    scores = tmp_path / "scores.csv"
+    save_scores(
+        ScoresTable(
+            subject_ids=tuple(f"s{i}" for i in range(20)),
+            age=rng.uniform(20, 80, 20),
+            diagnosis=("HC",) * 10 + ("DX",) * 10,
+            y_hat=rng.uniform(20, 80, 20),
+            epsilon=rng.normal(size=20),
+            cov=rng.uniform(0, 1, 20),
+            cov_w=rng.uniform(0, 1, 20),
+        ),
+        scores,
+    )
+    code = (
+        "import sys; from normgp.cli import main; "
+        f"assert main(['synth', '--out', {str(tmp_path / 'c.csv')!r}, "
+        "'--n-healthy', '10', '--n-diseased', '10', '--mode', 'orthogonal']) == 0; "
+        f"assert main(['evaluate', {str(scores)!r}, '--out', {str(tmp_path / 'e.json')!r}]) == 0; "
+        f"{_LOADED_SCIPY}"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "e.json").read_text())["groups"]["n_positive"] == 10
 
 
 def test_no_arguments_exits_2(capsys):

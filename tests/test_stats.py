@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import naive_midranks
+
 from normgp.errors import SchemaError
 from normgp.gpr import restore
 from normgp.kernels import PRODUCT, SUM, AgeKernelParams, KernelParams
@@ -17,6 +19,7 @@ from normgp.stats import (
     rank_sum_test,
     roc_auc,
 )
+from normgp.stats import _midranks
 from normgp.tabular_io import Cohort, ScoresTable
 
 
@@ -150,6 +153,23 @@ def test_rank_sum_input_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_midranks_match_the_tie_scan_bitwise():
+    rng = np.random.default_rng(28)
+    cases = [np.array([0.0, -0.0, 0.0]), np.array([5.0]), np.arange(40.0)[::-1]]
+    for _ in range(2000):
+        n = int(rng.integers(1, 60))
+        values = rng.integers(-3, 4, size=n).astype(float)
+        # signed zeros are one tie group
+        values[rng.random(n) < 0.2] *= -1.0
+        cases.append(values)
+    for values in cases:
+        ranks, tie_sizes = _midranks(values)
+        expected_ranks, expected_sizes = naive_midranks(values)
+        assert ranks.tobytes() == expected_ranks.tobytes()
+        assert tie_sizes.tobytes() == expected_sizes.tobytes()
+    assert np.array_equal(_midranks(cases[0])[0], [2.0, 2.0, 2.0])
+
+
 def test_roc_perfect_separation():
     result = roc_auc([1.0, 2.0, 9.0, 10.0], [0, 0, 1, 1])
     assert result.auc == 1.0
@@ -190,8 +210,8 @@ def test_roc_orientation_flip_complements_auc():
     rng = np.random.default_rng(17)
     scores = rng.normal(size=50)
     labels = (rng.random(50) < 0.4).astype(int)
-    high = roc_auc(scores, labels, positive_is_high=True).auc
-    low = roc_auc(scores, labels, positive_is_high=False).auc
+    high = roc_auc(scores, labels).auc
+    low = roc_auc(-scores, labels).auc
     assert abs(high + low - 1.0) < 1e-12
 
 

@@ -16,7 +16,6 @@ from normgp.preprocess import fit_pca, fit_standardizer
 from normgp import tabular_io
 from normgp.tabular_io import (
     Cohort,
-    ModelArtifact,
     ScoresTable,
     artifact_from_fit,
     load_cohort,
@@ -489,18 +488,6 @@ def test_artifact_dimension_validation():
     model = restore(x, y, KernelParams(length_scales=np.ones(2)), SUM)
     with pytest.raises(ValueError):
         artifact_from_fit(model, ("only_one",))
-    artifact = artifact_from_fit(model, ("a", "b"))
-    future = ModelArtifact(
-        kernel_form=artifact.kernel_form,
-        feature_names=artifact.feature_names,
-        training_features=artifact.training_features,
-        training_ages=artifact.training_ages,
-        kernel_params=artifact.kernel_params,
-        fit_metadata=artifact.fit_metadata,
-        format_version=999,
-    )
-    with pytest.raises(ValueError):
-        save_model(future, "/tmp/never-written.gp")
 
 
 def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path):
