@@ -16,6 +16,7 @@ that never touches a Gram matrix never loads it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -462,7 +463,9 @@ def weighted_posterior_cov(
     parameters are a user choice, never optimized. With an infinite age
     length scale and zero age noise the weighted training Gram equals the
     unweighted one bitwise, so the model's own factorization is reused and
-    the result reproduces ``predict`` exactly.
+    the result reproduces ``predict`` exactly. Otherwise the weighted
+    training Gram is factorized here, and a ``RuntimeWarning`` names the
+    jitter when it needed any.
 
     Only the variance diagonal is formed, in O(n*m) memory for n test rows
     and m training rows. ``grams`` passes feature blocks from
@@ -486,6 +489,9 @@ def weighted_posterior_cov(
         k_train = np.multiply(age_factor(model.y, model.y, age_params), k_train)
         np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
         chol, jitter = stable_cholesky(k_train)
+        if jitter:
+            message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
     if not unweighted:  # at l_y = inf the age factor is exactly one
         factor = age_factor(ages, model.y, age_params)
         k_star = np.multiply(factor, k_star, out=factor)

@@ -1,7 +1,10 @@
 """Cohort, score-table, and model-artifact persistence.
 
-All files are plain text. Cohorts and score tables are comma-delimited
-with a mandatory header; the model artifact is a versioned, line-oriented
+All files are plain text. Cohorts, score tables and sweeps are CSV files
+with a mandatory header, read and written a column at a time; a leading
+UTF-8 byte-order mark is skipped. A CSV's header is checked first, then
+every row's width, then each column down to its first bad cell. The
+model artifact is a versioned, line-oriented
 document (first line ``normative-gp-model v1``). Every real number is
 serialized with 17 significant digits so round-trips are value-exact, and
 every writer goes through an atomic temp-file-plus-rename.
@@ -64,41 +67,80 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _read_csv(path):
-    """Read a CSV with a mandatory header.
+    """Read a CSV with a mandatory header; a UTF-8 byte-order mark is skipped.
 
-    Returns the stripped header names and an iterator of ``(row number,
-    cells)`` over the data rows, the header being row 1. The iterator raises
-    at the first row whose width is not the header's, so the caller checks
-    the header before any row.
+    Returns the stripped header names and a function that gives the data
+    as a dict from header name to the column's cells, so the caller checks
+    the header first. That function raises at the first row whose width is
+    not the header's (the header is row 1), before any cell is parsed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise SchemaError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
 
-    def data_rows():
+    def columns() -> dict[str, tuple[str, ...]]:
         for row_num, parts in enumerate(rows[1:], start=2):
             if len(parts) != len(header):
                 raise CohortParseError(
                     f"{path}: row {row_num}: expected {len(header)} fields, got {len(parts)}"
                 )
-            yield row_num, parts
+        return dict(zip(header, zip(*rows[1:]))) if len(rows) > 1 else dict.fromkeys(header, ())
 
-    return header, data_rows()
+    return header, columns
 
 
-def _number(path, row_num: int, name: str, raw: str) -> float:
-    """Parse one numeric cell; a non-number or a non-finite value raises."""
+def _bad_cell(path, row: int, name: str, problem: str) -> CohortParseError:
+    """The parse error for data row ``row`` (0-based) of column ``name``."""
+    return CohortParseError(f"{path}: row {row + 2}, column {name!r}: {problem}")
+
+
+def _numbers(path, name: str, cells) -> np.ndarray:
+    """Parse a column of numeric cells; surrounding spaces are ignored.
+
+    The first empty, unparsable or non-finite cell raises, naming its row
+    and column.
+    """
     try:
-        value = float(raw)
+        values = np.array(list(map(float, cells)), dtype=float)
     except ValueError:
-        raise CohortParseError(
-            f"{path}: row {row_num}, column {name!r}: not a number: {raw!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise CohortParseError(f"{path}: row {row_num}, column {name!r}: non-finite value {raw!r}")
-    return value
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values
+    for row, cell in enumerate(cells):
+        text = cell.strip()
+        if not text:
+            raise _bad_cell(path, row, name, "empty value")
+        try:
+            value = float(text)
+        except ValueError:
+            raise _bad_cell(path, row, name, f"not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise _bad_cell(path, row, name, f"non-finite value {text!r}")
+    raise AssertionError(f"{path}: column {name!r} failed to parse but has no bad cell")
+
+
+def _texts(path, name: str, cells) -> tuple[str, ...]:
+    """Strip a column of text cells; the first empty one raises, naming its row."""
+    values = tuple(cell.strip() for cell in cells)
+    if not all(values):
+        raise _bad_cell(path, values.index(""), name, "empty value")
+    return values
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write ``header`` and the equal-length ``columns`` of cells as a CSV."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    _atomic_write_text(path, buffer.getvalue())
+
+
+def _fmts(values) -> list[str]:
+    """``_fmt`` of every value in a column."""
+    return [_fmt(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
 @dataclass(frozen=True)
@@ -157,10 +199,12 @@ def load_cohort(path) -> Cohort:
     """Load a cohort CSV, validating every cell.
 
     Any unparsable, empty, or non-finite value raises a parse error naming
-    the row (1-based physical line, header is row 1) and column — values
-    are never imputed.
+    the row (the header is row 1) and column; values are never imputed.
+    The header is checked first, then every row's width, then the columns
+    in this order, each down to its first bad row: ``age``, ``id``,
+    ``sex``, the diagnosis, and the features in header order.
     """
-    header, rows = _read_csv(path)
+    header, read_columns = _read_csv(path)
     if any(not name for name in header):
         raise SchemaError(f"{path}: header has an unnamed column")
     seen = set()
@@ -176,60 +220,39 @@ def load_cohort(path) -> Cohort:
     if not feature_names:
         raise SchemaError(f"{path}: no feature columns")
 
-    index = {name: header.index(name) for name in header}
-    has_id = _ID_COLUMN in header
-    has_sex = _SEX_COLUMN in header
     dx_columns = [name for name in _DIAGNOSIS_COLUMNS if name in header]
     if len(dx_columns) > 1:
         raise SchemaError(
             f"{path}: columns {dx_columns[0]!r} and {dx_columns[1]!r} both name the "
             "diagnosis; keep one"
         )
-    has_dx = bool(dx_columns)
 
-    def cell(parts: list[str], name: str, row_num: int) -> str:
-        value = parts[index[name]].strip()
-        if not value:
-            raise CohortParseError(f"{path}: row {row_num}, column {name!r}: empty value")
-        return value
-
-    def numeric(parts: list[str], name: str, row_num: int) -> float:
-        return _number(path, row_num, name, cell(parts, name, row_num))
-
-    ids: list[str] = []
-    ages: list[float] = []
-    sexes: list[str] = []
-    diagnoses: list[str] = []
-    features: list[list[float]] = []
-    for row_num, parts in rows:
-        age = numeric(parts, _AGE_COLUMN, row_num)
-        if age <= 0.0:
-            raise CohortParseError(
-                f"{path}: row {row_num}, column {_AGE_COLUMN!r}: "
-                f"age must be strictly positive, got {age}"
-            )
-        ages.append(age)
-        ids.append(cell(parts, _ID_COLUMN, row_num) if has_id else str(row_num - 2))
-        if has_sex:
-            sex = cell(parts, _SEX_COLUMN, row_num)
-            if sex not in _SEX_VALUES:
-                raise CohortParseError(
-                    f"{path}: row {row_num}, column {_SEX_COLUMN!r}: "
-                    f"expected F or M, got {sex!r}"
-                )
-            sexes.append(sex)
-        if has_dx:
-            diagnoses.append(cell(parts, dx_columns[0], row_num))
-        features.append([numeric(parts, name, row_num) for name in feature_names])
-
-    matrix = np.asarray(features, dtype=float) if features else np.empty((0, len(feature_names)))
+    columns = read_columns()
+    age = _numbers(path, _AGE_COLUMN, columns[_AGE_COLUMN])
+    bad = np.flatnonzero(age <= 0.0)
+    if bad.size:
+        raise _bad_cell(
+            path, int(bad[0]), _AGE_COLUMN, f"age must be strictly positive, got {age[bad[0]]}"
+        )
+    if _ID_COLUMN in columns:
+        ids = _texts(path, _ID_COLUMN, columns[_ID_COLUMN])
+    else:
+        ids = tuple(str(row) for row in range(age.shape[0]))
+    sex = None
+    if _SEX_COLUMN in columns:
+        sex = _texts(path, _SEX_COLUMN, columns[_SEX_COLUMN])
+        row = next((row for row, value in enumerate(sex) if value not in _SEX_VALUES), None)
+        if row is not None:
+            raise _bad_cell(path, row, _SEX_COLUMN, f"expected F or M, got {sex[row]!r}")
+    diagnosis = _texts(path, dx_columns[0], columns[dx_columns[0]]) if dx_columns else None
+    features = [_numbers(path, name, columns[name]) for name in feature_names]
     return Cohort(
-        subject_ids=tuple(ids),
-        features=matrix,
+        subject_ids=ids,
+        features=np.column_stack(features),
         feature_names=tuple(feature_names),
-        age=np.asarray(ages, dtype=float),
-        sex=tuple(sexes) if has_sex else None,
-        diagnosis=tuple(diagnoses) if has_dx else None,
+        age=age,
+        sex=sex,
+        diagnosis=diagnosis,
     )
 
 
@@ -241,18 +264,10 @@ def save_cohort(cohort: Cohort, path) -> None:
     if cohort.diagnosis is not None:
         header.append(_DIAGNOSIS_COLUMNS[0])
     header.extend(cohort.feature_names)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(cohort.n_subjects):
-        row = [cohort.subject_ids[i], _fmt(cohort.age[i])]
-        if cohort.sex is not None:
-            row.append(cohort.sex[i])
-        if cohort.diagnosis is not None:
-            row.append(cohort.diagnosis[i])
-        row.extend(_fmt(v) for v in cohort.features[i])
-        writer.writerow(row)
-    _atomic_write_text(path, buffer.getvalue())
+    columns = [cohort.subject_ids, _fmts(cohort.age)]
+    columns.extend(value for value in (cohort.sex, cohort.diagnosis) if value is not None)
+    columns.extend(map(_fmts, cohort.features.T))
+    _write_csv(path, header, columns)
 
 
 @dataclass(frozen=True)
@@ -295,59 +310,39 @@ class ScoresTable:
 
 def save_scores(table: ScoresTable, path) -> None:
     """Write the scores CSV with the fixed header order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCORES_HEADER)
-    for i in range(table.n_subjects):
-        writer.writerow(
-            [
-                table.subject_ids[i],
-                _fmt(table.age[i]),
-                table.diagnosis[i],
-                _fmt(table.y_hat[i]),
-                _fmt(table.epsilon[i]),
-                _fmt(table.cov[i]),
-                _fmt(table.cov_w[i]),
-            ]
-        )
-    _atomic_write_text(path, buffer.getvalue())
+    columns = [
+        table.subject_ids, _fmts(table.age), table.diagnosis,
+        *map(_fmts, (table.y_hat, table.epsilon, table.cov, table.cov_w)),
+    ]
+    _write_csv(path, SCORES_HEADER, columns)
 
 
 def load_scores(path) -> ScoresTable:
     """Read a scores CSV produced by ``save_scores``.
 
-    A numeric cell that does not parse, or holds a non-finite value, raises
-    a parse error naming its row and column.
+    The ``id`` and ``diagnosis`` cells are kept as written. The numeric
+    columns are checked in header order; the first empty, unparsable or
+    non-finite cell of each raises a parse error naming its row and column.
     """
-    header, rows = _read_csv(path)
+    header, read_columns = _read_csv(path)
     if tuple(header) != SCORES_HEADER:
         raise SchemaError(
             f"{path}: expected header {','.join(SCORES_HEADER)}, got {','.join(header)}"
         )
-    columns: dict[str, list] = {name: [] for name in SCORES_HEADER}
-    for row_num, parts in rows:
-        for name, raw in zip(SCORES_HEADER, parts):
-            if name not in ("id", "diagnosis"):
-                raw = _number(path, row_num, name, raw)
-            columns[name].append(raw)
-    return ScoresTable(
-        subject_ids=columns["id"],
-        age=columns["age"],
-        diagnosis=columns["diagnosis"],
-        y_hat=columns["y_hat"],
-        epsilon=columns["epsilon"],
-        cov=columns["cov"],
-        cov_w=columns["cov_w"],
-    )
+    columns = read_columns()
+    numbers = {
+        name: _numbers(path, name, columns[name])
+        for name in SCORES_HEADER if name not in ("id", "diagnosis")
+    }
+    return ScoresTable(subject_ids=columns["id"], diagnosis=columns["diagnosis"], **numbers)
 
 
 def save_sweep(result, path) -> None:
     """Write an ``l_y`` sweep (``stats.LySweepResult``) as ``l_y,auc,is_best``."""
-    lines = ["l_y,auc,is_best"]
-    lines.extend(
-        f"{_fmt(l_y)},{_fmt(auc)},{int(l_y == result.best_l_y)}" for l_y, auc in result.rows
-    )
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    l_y = [row[0] for row in result.rows]
+    is_best = [int(value == result.best_l_y) for value in l_y]
+    auc = _fmts([row[1] for row in result.rows])
+    _write_csv(path, ("l_y", "auc", "is_best"), [_fmts(l_y), auc, is_best])
 
 
 @dataclass(frozen=True)

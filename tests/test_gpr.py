@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,41 @@ def test_weighted_at_infinite_scale_reuses_the_model_factorization():
         weighted = weighted_posterior_cov(model, x_test, ages_test, AgeKernelParams())
         assert np.array_equal(weighted.variance, predict(model, x_test).variance)
         assert weighted.jitter == model.jitter
+
+
+def test_jittered_weighted_factorization_warns():
+    # Duplicate rows with equal ages stay duplicates under any age weighting,
+    # so at zero noise the weighted training Gram is singular.
+    rng = np.random.default_rng(26)
+    x, y, x_test, ages_test, params, form = random_instance(rng)
+    model = restore(
+        np.vstack([x, x]), np.concatenate([y, y]), KernelParams(params.length_scales, 0.0), form
+    )
+    with pytest.warns(RuntimeWarning, match=r"jitter \d\.\d{3}e[-+]\d+") as record:
+        weighted = weighted_posterior_cov(
+            model, x_test, ages_test, AgeKernelParams(age_length_scale=10.0)
+        )
+    assert weighted.jitter > 0.0
+    assert f"{weighted.jitter:.3e}" in str(record[0].message)
+
+
+def test_weighted_factorization_without_jitter_is_silent():
+    rng = np.random.default_rng(27)
+    x, y, x_test, ages_test, params, form = random_instance(rng)
+    jittered = restore(
+        np.vstack([x, x]), np.concatenate([y, y]), KernelParams(params.length_scales, 0.0), form
+    )
+    assert jittered.jitter > 0.0
+    conditioned = restore(x, y, KernelParams(params.length_scales, 0.5), form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # l_y = inf reuses the model's own (here jittered) factorization
+        reused = weighted_posterior_cov(jittered, x_test, ages_test, AgeKernelParams())
+        finite = weighted_posterior_cov(
+            conditioned, x_test, ages_test, AgeKernelParams(age_length_scale=10.0)
+        )
+    assert reused.jitter == jittered.jitter
+    assert finite.jitter == 0.0
 
 
 @pytest.mark.parametrize("n_features", [50, 200])

@@ -15,6 +15,7 @@ from normgp.kernels import SUM, KernelParams
 from normgp.preprocess import fit_pca, fit_standardizer
 from normgp import tabular_io
 from normgp.tabular_io import (
+    SCORES_HEADER,
     Cohort,
     ScoresTable,
     artifact_from_fit,
@@ -100,6 +101,112 @@ def test_value_errors_cite_position(tmp_path):
         load_cohort(write(tmp_path / "sex.csv", "age,sex,v1\n50,X,1\n"))
     with pytest.raises(CohortParseError, match="row 2"):
         load_cohort(write(tmp_path / "short.csv", "age,v1,v2\n50,1\n"))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # every row's width is checked before any cell
+        ("age,v1,v2\nabc,1,2\n50,1\n", CohortParseError, r"row 3: expected 3 fields, got 2"),
+        # age is checked before the features, whatever their rows
+        ("age,v1\n50,x\nabc,1\n", CohortParseError, r"row 3, column 'age': not a number"),
+        # of two bad features the earlier header column is reported
+        ("age,v1,v2\n50,1,x\n60,y,2\n", CohortParseError, r"row 3, column 'v1': not a number"),
+        ("id,sex,age,v1\n,X,0,1\n", CohortParseError, r"row 2, column 'age': age must be"),
+        ("id,sex,age,v1\n,X,50,1\n", CohortParseError, r"row 2, column 'id': empty value"),
+    ],
+    ids=["width-before-cells", "age-before-features", "features-in-header-order",
+         "age-before-id", "id-before-sex"],
+)
+def test_cohort_errors_come_column_by_column(tmp_path, text, error, message):
+    with pytest.raises(error, match=message):
+        load_cohort(write(tmp_path / "c.csv", text))
+
+
+def test_scores_errors_come_in_header_order(tmp_path):
+    path = write(
+        tmp_path / "s.csv",
+        "id,age,diagnosis,y_hat,epsilon,cov,cov_w\na,50,HC,51,1,x,0.5\nb,60,DX,y,-2,0.7,0.7\n",
+    )
+    with pytest.raises(CohortParseError, match=r"row 3, column 'y_hat': not a number: 'y'"):
+        load_scores(path)
+    with pytest.raises(CohortParseError, match=r"row 2, column 'age': empty value"):
+        load_scores(write(tmp_path / "e.csv", f"{','.join(SCORES_HEADER)}\na,,HC,1,1,1,1\n"))
+
+
+def _bom(path, text):
+    """Write ``text`` to ``path``, and behind a UTF-8 byte-order mark to a ``.bom`` sibling."""
+    write(path, text)
+    path.with_suffix(".bom").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(path), str(path.with_suffix(".bom"))
+
+
+def assert_same_cohort(loaded, expected):
+    assert loaded.subject_ids == expected.subject_ids
+    assert loaded.feature_names == expected.feature_names
+    assert np.array_equal(loaded.age, expected.age)
+    assert np.array_equal(loaded.features, expected.features)
+    assert loaded.features.shape == expected.features.shape
+    assert loaded.sex == expected.sex
+    assert loaded.diagnosis == expected.diagnosis
+
+
+def assert_same_scores(loaded, expected):
+    assert loaded.subject_ids == expected.subject_ids
+    assert loaded.diagnosis == expected.diagnosis
+    for field in ("age", "y_hat", "epsilon", "cov", "cov_w"):
+        assert np.array_equal(getattr(loaded, field), getattr(expected, field))
+
+
+@pytest.mark.parametrize(
+    "text", ["id,age,v1\na,61,0.5\nb,72.5,-1\n", "age,v1\n61,0.5\n72.5,-1\n"]
+)
+def test_cohort_byte_order_mark_is_skipped(tmp_path, text):
+    # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+    plain, bom = _bom(tmp_path / "c.csv", text)
+    assert load_cohort(bom).feature_names == ("v1",)
+    assert_same_cohort(load_cohort(bom), load_cohort(plain))
+
+
+def test_scores_byte_order_mark_is_skipped(tmp_path):
+    plain, bom = _bom(tmp_path / "s.csv", f"{','.join(SCORES_HEADER)}\na,61,HC,60,-1,0.5,0.25\n")
+    assert load_scores(bom).subject_ids == ("a",)
+    assert_same_scores(load_scores(bom), load_scores(plain))
+
+
+def test_header_only_cohort_round_trips(tmp_path):
+    empty = Cohort((), np.empty((0, 3)), ("v1", "v2", "v3"), np.empty(0), diagnosis=())
+    path = tmp_path / "c.csv"
+    save_cohort(empty, path)
+    assert path.read_text() == "id,age,dx,v1,v2,v3\n"
+    assert_same_cohort(load_cohort(str(path)), empty)
+
+
+AWKWARD_TEXT = ('a,b', 'say "hi"', '"', ',', 'x\ny')
+
+
+def test_text_cells_with_commas_and_quotes_round_trip(tmp_path):
+    n = len(AWKWARD_TEXT)
+    cohort = Cohort(
+        AWKWARD_TEXT, np.arange(n, dtype=float)[:, None], ("v",), np.full(n, 50.0),
+        diagnosis=AWKWARD_TEXT[::-1],
+    )
+    save_cohort(cohort, tmp_path / "c.csv")
+    assert_same_cohort(load_cohort(tmp_path / "c.csv"), cohort)
+
+    ones = np.ones(n)
+    table = ScoresTable(AWKWARD_TEXT, 50 * ones, AWKWARD_TEXT[::-1], ones, ones, ones, ones)
+    save_scores(table, tmp_path / "s.csv")
+    assert_same_scores(load_scores(tmp_path / "s.csv"), table)
+
+
+def test_score_text_cells_are_kept_as_written(tmp_path):
+    # unlike a cohort's, a score file's id and diagnosis are not stripped
+    # and the diagnosis may be empty
+    ones = np.ones(2)
+    table = ScoresTable((" a ", "b "), 50 * ones, ("", " HC"), ones, ones, ones, ones)
+    save_scores(table, tmp_path / "s.csv")
+    assert_same_scores(load_scores(tmp_path / "s.csv"), table)
 
 
 def test_ids_synthesized_when_missing(tmp_path):
