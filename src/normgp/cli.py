@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .kernels import FORMS, SUM, AgeKernelParams
-from .preprocess import fit_pca, fit_standardizer
+from .preprocess import apply_chain, fit_chain
 
 
 def _jsonable(value):
@@ -82,15 +82,8 @@ def _load_model_chain(path: str):
 
 def cmd_fit(args) -> int:
     cohort = tabular_io.load_cohort(args.train_csv)
-    features = cohort.features
-    standardizer = None
-    if args.standardize:
-        standardizer = fit_standardizer(features)
-        features = standardizer.apply(features)
-    pca = None
-    if args.pca is not None:
-        pca = fit_pca(features, args.pca)
-        features = pca.project(features)
+    standardizer, pca = fit_chain(cohort.features, args.standardize, args.pca)
+    features = apply_chain(cohort.features, standardizer, pca)
     config = gpr.FitConfig(
         form=args.kernel,
         restarts=args.restarts,
@@ -99,7 +92,10 @@ def cmd_fit(args) -> int:
         center_ages=args.center_ages,
     )
     model = gpr.fit(features, cohort.age, config)
-    quality = metrics.cross_validated_quality(features, cohort.age, args.folds, config)
+    quality = metrics.cross_validated_quality(
+        cohort.features, cohort.age, args.folds, config, model.params,
+        standardize=args.standardize, n_components=args.pca,
+    )
     artifact = tabular_io.artifact_from_fit(
         model,
         cohort.feature_names,
@@ -138,6 +134,7 @@ def cmd_fit(args) -> int:
             "noise_variance": float(model.params.noise_variance),
             "y_offset": float(model.y_offset),
             "log_marginal_likelihood": float(model.log_marginal_likelihood),
+            "jitter": float(model.jitter),
             "chosen_restart": model.chosen_restart,
             "restart_log_marginals": [float(v) for v in model.restart_log_marginals],
         },
@@ -145,6 +142,7 @@ def cmd_fit(args) -> int:
             "mae": quality.mae,
             "r2": quality.r2,
             "folds": quality.folds,
+            "protocol": metrics.CV_PROTOCOL,
             "per_fold": [
                 {"fold": i, "mae": fold_mae, "r2": fold_r2}
                 for i, (fold_mae, fold_r2) in enumerate(quality.per_fold)

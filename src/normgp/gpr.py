@@ -254,7 +254,27 @@ def log_marginal_likelihood(params: KernelParams, form: str, x, y) -> float:
     return restore(x, y, params, form).log_marginal_likelihood
 
 
-def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
+def _seeded_starts(x: np.ndarray, centered: np.ndarray, cfg: FitConfig) -> list[np.ndarray]:
+    """``cfg.restarts`` log-parameter starts drawn from the seeded restart substream."""
+    n_features = x.shape[1]
+    feature_scale = x.std(axis=0)
+    feature_scale = np.where(feature_scale > 0.0, feature_scale, 1.0)
+    y_var = float(np.var(centered))
+    if y_var <= 0.0:
+        y_var = 1.0
+    log_noise_init = math.log(max(_NOISE_VARIANCE_INIT_FACTOR * y_var, 1e-300))
+    lo, hi = _LENGTH_SCALE_INIT_RANGE
+    rng = substream(cfg.seed, RESTARTS)
+    starts = []
+    for _ in range(cfg.restarts):
+        offsets = rng.uniform(math.log(lo), math.log(hi), size=n_features)
+        starts.append(np.concatenate([np.log(feature_scale) + offsets, [log_noise_init]]))
+    return starts
+
+
+def fit(
+    x, y, config: FitConfig | None = None, *, start: KernelParams | None = None
+) -> TrainedModel:
     """Train the GP by maximizing the log marginal likelihood.
 
     Runs ``config.restarts`` independent L-BFGS-B starts one after another
@@ -262,7 +282,9 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
     with the highest final log marginal likelihood; ties break toward the
     lowest restart index. Initial length scales are log-uniform in (0.1, 10)
     times each feature's standard deviation; initial noise variance is
-    0.1 * var(y). The model is then factorized by ``restore`` at the chosen
+    0.1 * var(y). Given ``start``, the one run starts from those
+    hyperparameters instead, and ``config.restarts`` and ``config.seed``
+    are not used. The model is then factorized by ``restore`` at the chosen
     optimum.
     """
     cfg = config if config is not None else FitConfig()
@@ -274,19 +296,13 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
     y_offset = float(np.mean(y)) if cfg.center_ages else 0.0
     centered = y - y_offset
 
-    feature_scale = x.std(axis=0)
-    feature_scale = np.where(feature_scale > 0.0, feature_scale, 1.0)
-    y_var = float(np.var(centered))
-    if y_var <= 0.0:
-        y_var = 1.0
-    log_noise_init = math.log(max(_NOISE_VARIANCE_INIT_FACTOR * y_var, 1e-300))
-    lo, hi = _LENGTH_SCALE_INIT_RANGE
-    rng = substream(cfg.seed, RESTARTS)
-    inits = []
-    for _ in range(cfg.restarts):
-        offsets = rng.uniform(math.log(lo), math.log(hi), size=n_features)
-        theta = np.concatenate([np.log(feature_scale) + offsets, [log_noise_init]])
-        inits.append(np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND))
+    if start is None:
+        starts = _seeded_starts(x, centered, cfg)
+    elif start.n_features != n_features:
+        raise ValueError(f"start has {start.n_features} length scales, expected {n_features}")
+    else:
+        starts = [np.log(np.append(start.length_scales, start.noise_variance))]
+    inits = [np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND) for theta in starts]
 
     bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
     distances = PairDistances(x, cfg.form)
@@ -323,7 +339,7 @@ def fit(x, y, config: FitConfig | None = None) -> TrainedModel:
             best_index, best_value = index, value
     if best_index < 0:
         raise ConditioningError(
-            f"all {cfg.restarts} restarts failed: the training Gram matrix could "
+            f"all {len(inits)} restarts failed: the training Gram matrix could "
             "not be factorized at any visited hyperparameters"
         )
     return restore(

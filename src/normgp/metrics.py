@@ -13,10 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gpr import FitConfig, TrainedModel, feature_grams, fit, predict, weighted_posterior_cov
-from .kernels import AgeKernelParams
-from .preprocess import PcaTransform, Standardizer, apply_chain
+from .kernels import AgeKernelParams, KernelParams
+from .preprocess import PcaTransform, Standardizer, apply_chain, fit_chain
 from .seeding import FOLDS, substream
 from .tabular_io import Cohort, ScoresTable
+
+
+# How ``cross_validated_quality`` fits its folds, for the fit report.
+CV_PROTOCOL = {
+    "preprocessing": "refit in each fold on its training rows only",
+    "restarts_per_fold": 1,
+    "optimizer_start": "the optimum chosen on all rows",
+    "optimized_on": "each fold's training rows only",
+}
 
 
 @dataclass(frozen=True)
@@ -84,34 +93,49 @@ def _mae_and_r2(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return mae, r2
 
 
-def cross_validated_quality(x, y, folds: int, config: FitConfig | None = None) -> FitQualityReport:
-    """K-fold cross-validated MAE and R2 of the age regression.
+def cross_validated_quality(
+    features,
+    y,
+    folds: int,
+    config: FitConfig,
+    start: KernelParams,
+    *,
+    standardize: bool = False,
+    n_components: int | None = None,
+) -> FitQualityReport:
+    """K-fold cross-validated MAE and R2 of the age regression, without leaks.
+
+    ``features`` are raw: each fold fits its own standardizer and PCA (as
+    asked by ``standardize`` and ``n_components``) on its training rows and
+    applies them to its held-out rows. Each fold then runs one L-BFGS-B
+    restart on its training rows, starting from ``start``, the optimum
+    chosen on all rows (``CV_PROTOCOL``).
 
     Fold assignment is a seeded permutation split (deterministic given
     ``config.seed``). MAE and R2 are computed on the pooled out-of-fold
     predictions; per-fold values are also reported. A fold whose held-out
     ages are constant reports R2 = nan rather than failing.
     """
-    cfg = config if config is not None else FitConfig()
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be 2-D with one row per y entry")
+        raise ValueError("features must be 2-D with one row per y entry")
     m = x.shape[0]
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if folds > m:
         raise ValueError(f"cannot split {m} subjects into {folds} folds")
 
-    order = substream(cfg.seed, FOLDS).permutation(m)
-    chunks = np.array_split(order, folds)
+    order = substream(config.seed, FOLDS).permutation(m)
     pooled = np.empty(m)
     per_fold: list[tuple[float, float]] = []
-    for chunk in chunks:
+    for chunk in np.array_split(order, folds):
         mask = np.ones(m, dtype=bool)
         mask[chunk] = False
-        fold_model = fit(x[mask], y[mask], cfg)
-        predicted = predict(fold_model, x[chunk]).y_hat
+        train = x[mask]
+        chain = fit_chain(train, standardize, n_components)
+        fold_model = fit(apply_chain(train, *chain), y[mask], config, start=start)
+        predicted = predict(fold_model, apply_chain(x[chunk], *chain)).y_hat
         pooled[chunk] = predicted
         per_fold.append(_mae_and_r2(predicted, y[chunk]))
 

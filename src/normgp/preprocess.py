@@ -114,6 +114,18 @@ def fit_pca(train_features, n_components: int) -> PcaTransform:
     return PcaTransform(mean=mean, components=components, explained_variance=explained)
 
 
+def fit_chain(
+    train_features, standardize: bool = False, n_components: int | None = None
+) -> tuple[Standardizer | None, PcaTransform | None]:
+    """Fit the preprocessing chain on training rows: the standardizer, then
+    the PCA on its output. Either step is ``None`` when not asked for."""
+    x = _as_feature_matrix(train_features)
+    standardizer = fit_standardizer(x) if standardize else None
+    if n_components is None:
+        return standardizer, None
+    return standardizer, fit_pca(apply_chain(x, standardizer), n_components)
+
+
 def apply_chain(
     features,
     standardizer: Standardizer | None = None,

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import math
 import os
 import secrets
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ _ID_COLUMN = "id"
 _SEX_COLUMN = "sex"
 _SEX_VALUES = ("F", "M")
 _DIAGNOSIS_COLUMNS = ("dx", "diagnosis")
+_ROLE_COLUMNS = (_ID_COLUMN, _AGE_COLUMN, _SEX_COLUMN, *_DIAGNOSIS_COLUMNS)
 
 
 def _fmt(value: float) -> str:
@@ -130,12 +131,18 @@ def _texts(path, name: str, cells) -> tuple[str, ...]:
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write ``header`` and the equal-length ``columns`` of cells as a CSV."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Write ``header`` and the equal-length ``columns`` of cells as a CSV.
+
+    Rows end in ``\\n``. The writer is given ``\\r\\n`` as the terminator,
+    so it quotes every cell holding either character on every Python
+    version (before 3.13 it quotes only the terminator's characters, and a
+    bare ``\\r`` in a cell would split the row when read back).
+    """
+    rows: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(zip(*columns))
-    _atomic_write_text(path, buffer.getvalue())
+    _atomic_write_text(path, "".join(row[:-2] + "\n" for row in rows))
 
 
 def _fmts(values) -> list[str]:
@@ -143,9 +150,23 @@ def _fmts(values) -> list[str]:
     return [_fmt(v) for v in np.asarray(values, dtype=float).tolist()]
 
 
+def _check_texts(name: str, values) -> None:
+    """Raise ValueError unless every value is a non-empty, unpadded string."""
+    for value in values:
+        if not isinstance(value, str) or not value or value != value.strip():
+            raise ValueError(f"{name} must be non-empty without surrounding whitespace: {value!r}")
+
+
 @dataclass(frozen=True)
 class Cohort:
-    """A tabular dataset of subjects, one row each."""
+    """A tabular dataset of subjects, one row each.
+
+    It holds the rules ``load_cohort`` applies, so every cohort round-trips
+    exactly through ``save_cohort``: at least one feature, none named like a
+    role column (``id``, ``age``, ``sex``, ``dx``, ``diagnosis``); feature
+    names, ids and diagnoses non-empty without surrounding whitespace; sex
+    ``F`` or ``M``.
+    """
 
     subject_ids: tuple[str, ...]
     features: np.ndarray
@@ -168,8 +189,15 @@ class Cohort:
             raise ValueError("subject_ids, features and age must have equal row counts")
         if len(self.feature_names) != features.shape[1]:
             raise ValueError("feature_names length must match the feature column count")
+        if not self.feature_names:
+            raise ValueError("a cohort needs at least one feature column")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValueError("feature_names must be unique")
+        _check_texts("feature names", self.feature_names)
+        roles = [name for name in self.feature_names if name in _ROLE_COLUMNS]
+        if roles:
+            raise ValueError(f"feature name {roles[0]!r} is a role column's name")
+        _check_texts("subject ids", self.subject_ids)
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite values")
         if age.size and (not np.all(np.isfinite(age)) or np.any(age <= 0.0)):
@@ -181,6 +209,12 @@ class Cohort:
                 object.__setattr__(self, name, value)
                 if len(value) != n:
                     raise ValueError(f"{name} length must match the subject count")
+        if self.sex is not None:
+            bad = [value for value in self.sex if value not in _SEX_VALUES]
+            if bad:
+                raise ValueError(f"sex must be F or M, got {bad[0]!r}")
+        if self.diagnosis is not None:
+            _check_texts("diagnosis", self.diagnosis)
 
     @property
     def n_subjects(self) -> int:
@@ -215,8 +249,7 @@ def load_cohort(path) -> Cohort:
     if _AGE_COLUMN not in header:
         raise SchemaError(f"{path}: required column {_AGE_COLUMN!r} is missing")
 
-    role_columns = {_AGE_COLUMN, _ID_COLUMN, _SEX_COLUMN, *_DIAGNOSIS_COLUMNS}
-    feature_names = [name for name in header if name not in role_columns]
+    feature_names = [name for name in header if name not in _ROLE_COLUMNS]
     if not feature_names:
         raise SchemaError(f"{path}: no feature columns")
 

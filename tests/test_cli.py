@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from normgp import metrics
 from normgp.cli import main
 from normgp.tabular_io import ScoresTable, load_scores, save_scores
 
@@ -59,6 +60,8 @@ def test_full_pipeline(tmp_path, capsys):
     assert report["model"]["kernel_form"] == "sum"
     assert len(report["model"]["length_scales"]) == 4
     assert report["quality"]["folds"] == 3
+    assert report["quality"]["protocol"] == metrics.CV_PROTOCOL
+    assert report["model"]["jitter"] == 0.0
 
     scores = tmp_path / "scores.csv"
     assert main(["score", str(model), str(test), "--out", str(scores)]) == 0
@@ -160,6 +163,20 @@ def test_fit_is_deterministic_byte_for_byte(tmp_path):
     da, db = json.loads(report_a), json.loads(report_b)
     del da["config"], db["config"]
     assert da == db
+
+
+@pytest.mark.parametrize("restarts, folds", [(1, 3), (3, 2)])
+def test_fit_runs_one_optimizer_per_restart_and_per_fold(tmp_path, monkeypatch, restarts, folds):
+    from scipy import optimize
+
+    calls = []
+    minimize = optimize.minimize
+    monkeypatch.setattr(optimize, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
+    train = _synth(tmp_path)
+    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--center-ages", "--standardize",
+            "--restarts", str(restarts), "--folds", str(folds), "-q"]
+    assert main(argv) == 0
+    assert len(calls) == restarts + folds
 
 
 def test_synth_is_deterministic_byte_for_byte(tmp_path):

@@ -271,6 +271,33 @@ def test_fit_records_per_restart_trace():
     assert model.chosen_restart == first_best
 
 
+def test_fit_from_its_own_optimum_runs_once_and_stays_there(monkeypatch):
+    from scipy import optimize
+
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(25, 2))
+    y = 10.0 * np.sin(x[:, 0]) + rng.normal(0, 0.5, 25) + 50.0
+    config = FitConfig(restarts=3, seed=5, center_ages=True)
+    cold = fit(x, y, config)
+    runs = []
+    minimize = optimize.minimize
+    monkeypatch.setattr(
+        optimize, "minimize", lambda *a, **k: runs.append(a[1].copy()) or minimize(*a, **k)
+    )
+    warm = fit(x, y, config, start=cold.params)
+    assert len(runs) == 1
+    assert np.array_equal(
+        runs[0], np.log(np.append(cold.params.length_scales, cold.params.noise_variance))
+    )
+    assert warm.restart_log_marginals == (warm.log_marginal_likelihood,)
+    assert warm.log_marginal_likelihood >= cold.log_marginal_likelihood - 1e-9 * abs(
+        cold.log_marginal_likelihood
+    )
+    assert np.allclose(warm.params.length_scales, cold.params.length_scales, rtol=1e-3)
+    with pytest.raises(ValueError):
+        fit(x[:, :1], y, config, start=cold.params)
+
+
 def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit(np.ones((1, 2)), np.array([50.0]))

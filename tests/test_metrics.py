@@ -5,14 +5,16 @@ import pytest
 
 from normgp import metrics
 from normgp.errors import SchemaError
-from normgp.gpr import FitConfig, predict, restore, weighted_posterior_cov
+from normgp.gpr import FitConfig, fit, predict, restore, weighted_posterior_cov
 from normgp.kernels import SUM, AgeKernelParams, KernelParams
 from normgp.metrics import (
     cross_validated_quality,
     prediction_error,
     score_cohort,
 )
-from normgp.preprocess import fit_pca, fit_standardizer
+from normgp.preprocess import apply_chain, fit_chain, fit_pca, fit_standardizer
+from normgp.seeding import FOLDS, substream
+from normgp.synth import SynthConfig, generate_cohort
 from normgp.tabular_io import Cohort
 
 
@@ -170,13 +172,17 @@ def test_cov_w_monotone_in_age_distance_single_train_point():
     assert all(b >= a - 1e-12 for a, b in zip(variances, variances[1:]))
 
 
+def _cv(x, y, folds, config, **chain):
+    """Cross-validate warm-started from the full-data fit, as ``normgp fit`` does."""
+    full = fit(apply_chain(x, *fit_chain(x, **chain)), y, config)
+    return cross_validated_quality(x, y, folds, config, full.params, **chain)
+
+
 def test_cross_validated_quality_perfect_predictor():
     # target duplicated as the only feature, noiseless: GP interpolates
     y = np.linspace(-1.5, 1.5, 24)
     x = y.reshape(-1, 1)
-    report = cross_validated_quality(
-        x, y, 4, FitConfig(form="product", restarts=2, seed=1)
-    )
+    report = _cv(x, y, 4, FitConfig(form="product", restarts=2, seed=1))
     assert report.mae < 0.05
     assert report.r2 > 0.98
     assert report.folds == 4
@@ -186,7 +192,7 @@ def test_cross_validated_quality_perfect_predictor():
 def _fit_at(monkeypatch, params):
     """Make every CV fold's fit a centered model at ``params``."""
 
-    def frozen_fit(x, y, config):
+    def frozen_fit(x, y, config, *, start):
         return restore(x, y, params, config.form, y_offset=float(np.mean(y)))
 
     monkeypatch.setattr(metrics, "fit", frozen_fit)
@@ -198,7 +204,7 @@ def test_cross_validated_quality_constant_predictor_has_nonpositive_r2(monkeypat
     y = rng.uniform(20, 80, 30)
     frozen = KernelParams(length_scales=np.full(2, 1e6), noise_variance=1.0)
     _fit_at(monkeypatch, frozen)
-    report = cross_validated_quality(x, y, 5, FitConfig(center_ages=True))
+    report = cross_validated_quality(x, y, 5, FitConfig(center_ages=True), frozen)
     assert report.r2 <= 0.05
 
 
@@ -208,7 +214,7 @@ def test_cross_validated_quality_leave_one_out(monkeypatch):
     x = np.column_stack([y + rng.normal(0, 0.5, 9)])
     params = KernelParams(length_scales=np.array([20.0]), noise_variance=0.5)
     _fit_at(monkeypatch, params)
-    report = cross_validated_quality(x, y, 9, FitConfig(center_ages=True))
+    report = cross_validated_quality(x, y, 9, FitConfig(center_ages=True), params)
     assert report.folds == 9
     assert len(report.per_fold) == 9
     assert math.isfinite(report.mae)
@@ -220,10 +226,11 @@ def test_cross_validated_quality_leave_one_out(monkeypatch):
 def test_cross_validated_quality_fold_bounds():
     x = np.ones((6, 1)) * np.arange(6).reshape(-1, 1)
     y = np.linspace(30, 60, 6)
+    start = KernelParams(length_scales=np.ones(1), noise_variance=1.0)
     with pytest.raises(ValueError):
-        cross_validated_quality(x, y, 1, FitConfig())
+        cross_validated_quality(x, y, 1, FitConfig(), start)
     with pytest.raises(ValueError):
-        cross_validated_quality(x, y, 7, FitConfig())
+        cross_validated_quality(x, y, 7, FitConfig(), start)
 
 
 def test_cross_validated_quality_deterministic():
@@ -231,7 +238,91 @@ def test_cross_validated_quality_deterministic():
     y = rng.uniform(20, 80, 16)
     x = np.column_stack([y + rng.normal(0, 1, 16), rng.normal(size=16)])
     config = FitConfig(restarts=1, seed=11, center_ages=True)
-    a = cross_validated_quality(x, y, 4, config)
-    b = cross_validated_quality(x, y, 4, config)
+    a = _cv(x, y, 4, config)
+    b = _cv(x, y, 4, config)
     assert a.mae == b.mae and a.r2 == b.r2
     assert a.per_fold == b.per_fold
+
+
+def _record_folds(monkeypatch):
+    """Record each CV fold's preprocessing chain, fold model and fit inputs."""
+    folds = []
+
+    def chain(*args):
+        folds.append({"chain": fit_chain(*args)})
+        return folds[-1]["chain"]
+
+    def fold_fit(x, y, config, *, start):
+        folds[-1].update(x=x, y=y, start=start, model=fit(x, y, config, start=start))
+        return folds[-1]["model"]
+
+    monkeypatch.setattr(metrics, "fit_chain", chain)
+    monkeypatch.setattr(metrics, "fit", fold_fit)
+    return folds
+
+
+def _fingerprint(fold) -> list:
+    """The bits of a fold's preprocessing chain, fit inputs and fitted model."""
+    standardizer, pca = fold["chain"]
+    arrays = [fold["x"], fold["y"], fold["model"].params.length_scales, fold["model"].alpha]
+    if standardizer is not None:
+        arrays += [standardizer.means, standardizer.std_devs]
+    if pca is not None:
+        arrays += [pca.mean, pca.components, pca.explained_variance]
+    return [a.tobytes() for a in arrays] + [fold["model"].log_marginal_likelihood]
+
+
+@pytest.mark.parametrize(
+    "chain", [{"standardize": True}, {"n_components": 3}, {"standardize": True, "n_components": 3}]
+)
+def test_held_out_rows_do_not_reach_their_folds_preprocessing_or_model(monkeypatch, chain):
+    rng = np.random.default_rng(8)
+    y = rng.uniform(20, 80, 40)
+    x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 40), rng.normal(5.0, 2.0, (40, 4))])
+    config = FitConfig(restarts=1, seed=3, center_ages=True)
+    dims = chain.get("n_components", 5)
+    start = KernelParams(length_scales=np.full(dims, 2.0), noise_variance=10.0)
+    folds = 4
+    held_out = np.array_split(substream(config.seed, FOLDS).permutation(40), folds)[1]
+    perturbed = x.copy()
+    perturbed[held_out] = rng.normal(50.0, 30.0, perturbed[held_out].shape)
+
+    runs = []
+    for features in (x, perturbed):
+        runs.append(_record_folds(monkeypatch))
+        cross_validated_quality(features, y, folds, config, start, **chain)
+    assert [len(run) for run in runs] == [folds, folds]
+    standardizer, pca = runs[0][0]["chain"]
+    assert (standardizer is not None) == chain.get("standardize", False)
+    assert (pca is not None) == ("n_components" in chain)
+    # only the fold that held the perturbed rows out is blind to them
+    unchanged = [_fingerprint(a) == _fingerprint(b) for a, b in zip(*runs)]
+    assert unchanged == [k == 1 for k in range(folds)]
+
+
+def test_each_fold_fits_once_from_the_given_start(monkeypatch):
+    rng = np.random.default_rng(9)
+    y = rng.uniform(20, 80, 30)
+    x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 30), rng.normal(size=30)])
+    start = KernelParams(length_scales=np.array([1.5, 3.0]), noise_variance=5.0)
+    folds = _record_folds(monkeypatch)
+    cross_validated_quality(x, y, 3, FitConfig(restarts=4, center_ages=True), start)
+    assert len(folds) == 3
+    for fold in folds:
+        assert fold["start"] is start
+        assert len(fold["model"].restart_log_marginals) == 1
+
+
+def test_warm_started_folds_end_no_lower_than_their_start(monkeypatch):
+    # Each fold's single run climbs from the full-data optimum. It need not
+    # reach a cold multi-start search's best optimum: the fold likelihood
+    # can have a higher peak outside the start's basin.
+    cohort = generate_cohort(SynthConfig(n_healthy=80, n_features=4, seed=12))
+    config = FitConfig(restarts=5, seed=0, center_ages=True)
+    folds = _record_folds(monkeypatch)
+    _cv(cohort.features, cohort.age, 4, config, standardize=True)
+    assert len(folds) == 4
+    for fold in folds:
+        offset = float(np.mean(fold["y"]))
+        at_start = restore(fold["x"], fold["y"], fold["start"], SUM, y_offset=offset)
+        assert fold["model"].log_marginal_likelihood >= at_start.log_marginal_likelihood

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normgp.gpr import FitConfig
+from normgp.gpr import FitConfig, fit
 from normgp.metrics import cross_validated_quality
 from normgp.synth import (
     MODES,
@@ -155,11 +155,8 @@ def test_config_validation():
 def test_healthy_cohort_supports_an_accurate_age_regression():
     # the core promise: a GP trained on healthy subjects predicts age well
     cohort = generate_cohort(SynthConfig(n_healthy=100, n_features=8, seed=5))
-    report = cross_validated_quality(
-        cohort.features,
-        cohort.age,
-        5,
-        FitConfig(restarts=2, seed=5, center_ages=True),
-    )
+    config = FitConfig(restarts=2, seed=5, center_ages=True)
+    full = fit(cohort.features, cohort.age, config)
+    report = cross_validated_quality(cohort.features, cohort.age, 5, config, full.params)
     assert report.mae < 0.25 * 60.0
     assert report.r2 > 0.5

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normgp.errors import (
     CohortParseError,
@@ -182,7 +184,7 @@ def test_header_only_cohort_round_trips(tmp_path):
     assert_same_cohort(load_cohort(str(path)), empty)
 
 
-AWKWARD_TEXT = ('a,b', 'say "hi"', '"', ',', 'x\ny')
+AWKWARD_TEXT = ('a,b', 'say "hi"', '"', ',', 'x\ny', 'c\rd', 'e\r\nf')
 
 
 def test_text_cells_with_commas_and_quotes_round_trip(tmp_path):
@@ -251,6 +253,81 @@ def test_cohort_invariants():
         Cohort(("a",), np.array([[np.nan]]), ("v",), np.array([50.0]))
     with pytest.raises(ValueError):
         Cohort(("a",), np.ones((1, 1)), ("v",), np.array([0.0]))
+
+
+@pytest.mark.parametrize("role", ["id", "age", "sex", "dx", "diagnosis"])
+def test_cohort_rejects_a_role_column_name_as_a_feature(role):
+    # save_cohort would write it and load_cohort would read it back as the role
+    with pytest.raises(ValueError, match="role column"):
+        Cohort(("a",), np.ones((1, 2)), (role, "v"), np.array([50.0]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("subject_ids", ("",)),
+        ("subject_ids", (" a",)),
+        ("subject_ids", (1,)),
+        ("feature_names", ("",)),
+        ("feature_names", ("v\t",)),
+        ("sex", ("f",)),
+        ("sex", ("",)),
+        ("sex", (" F",)),
+        ("diagnosis", ("",)),
+        ("diagnosis", ("HC\n",)),
+    ],
+)
+def test_cohort_rejects_text_that_load_cohort_would_reject_or_change(field, value):
+    fields = {
+        "subject_ids": ("a",), "features": np.ones((1, 1)), "feature_names": ("v",),
+        "age": np.array([50.0]), field: value,
+    }
+    with pytest.raises(ValueError):
+        Cohort(**fields)
+
+
+def test_cohort_needs_a_feature_column():
+    with pytest.raises(ValueError):
+        Cohort(("a",), np.ones((1, 0)), (), np.array([50.0]))
+
+
+# Any text, with extra weight on the characters CSV quoting and stripping act on.
+_UNPADDED_TEXT = st.text(
+    st.sampled_from(',"\r\n \t\x1c\x85\u2028') | st.characters(codec="utf-8"),
+    min_size=1, max_size=5,
+).filter(lambda text: text == text.strip())
+
+
+@st.composite
+def _cohorts(draw):
+    n = draw(st.integers(0, 4))
+    d = draw(st.integers(1, 3))
+    names = draw(st.lists(
+        _UNPADDED_TEXT.filter(lambda name: name not in ("id", "age", "sex", "dx", "diagnosis")),
+        min_size=d, max_size=d, unique=True,
+    ))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=n * d, max_size=n * d))
+    ages = draw(st.lists(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=n, max_size=n
+    ))
+    column = st.lists(_UNPADDED_TEXT, min_size=n, max_size=n)
+    return Cohort(
+        subject_ids=draw(column),
+        features=np.array(values, dtype=float).reshape(n, d),
+        feature_names=names,
+        age=np.array(ages, dtype=float),
+        sex=draw(st.none() | st.lists(st.sampled_from(("F", "M")), min_size=n, max_size=n)),
+        diagnosis=draw(st.none() | column),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cohort=_cohorts())
+def test_every_cohort_round_trips_exactly(tmp_path_factory, cohort):
+    path = tmp_path_factory.mktemp("round_trip") / "c.csv"
+    save_cohort(cohort, path)
+    assert_same_cohort(load_cohort(path), cohort)
 
 
 def test_scores_epsilon_definition_written(tmp_path):
