@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .kernels import FORMS, SUM, AgeKernelParams
-from .preprocess import apply_chain, fit_chain
+from .preprocess import fit_chain
 
 
 def _jsonable(value):
@@ -82,8 +82,12 @@ def _load_model_chain(path: str):
 
 def cmd_fit(args) -> int:
     cohort = tabular_io.load_cohort(args.train_csv)
-    standardizer, pca = fit_chain(cohort.features, args.standardize, args.pca)
-    features = apply_chain(cohort.features, standardizer, pca)
+    standardizer, pca, features = fit_chain(cohort.features, args.standardize, args.pca)
+    # Every fold's preprocessing is fitted (and can fail) before any GP fit.
+    folds = metrics.split_folds(
+        cohort.features, args.folds, args.seed,
+        standardize=args.standardize, n_components=args.pca,
+    )
     config = gpr.FitConfig(
         form=args.kernel,
         restarts=args.restarts,
@@ -93,8 +97,7 @@ def cmd_fit(args) -> int:
     )
     model = gpr.fit(features, cohort.age, config)
     quality = metrics.cross_validated_quality(
-        cohort.features, cohort.age, args.folds, config, model.params,
-        standardize=args.standardize, n_components=args.pca,
+        cohort.features, cohort.age, folds, config, model.params
     )
     artifact = tabular_io.artifact_from_fit(
         model,
@@ -144,8 +147,14 @@ def cmd_fit(args) -> int:
             "folds": quality.folds,
             "protocol": metrics.CV_PROTOCOL,
             "per_fold": [
-                {"fold": i, "mae": fold_mae, "r2": fold_r2}
-                for i, (fold_mae, fold_r2) in enumerate(quality.per_fold)
+                {
+                    "fold": i,
+                    "mae": fold.mae,
+                    "r2": fold.r2,
+                    "start_log_marginal_likelihood": fold.start_log_marginal_likelihood,
+                    "log_marginal_likelihood": fold.log_marginal_likelihood,
+                }
+                for i, fold in enumerate(quality.per_fold)
             ],
         },
     }

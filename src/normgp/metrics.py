@@ -12,7 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpr import FitConfig, TrainedModel, feature_grams, fit, predict, weighted_posterior_cov
+from .errors import SchemaError
+from .gpr import (
+    FitConfig,
+    TrainedModel,
+    feature_grams,
+    fit,
+    log_marginal_likelihood,
+    predict,
+    weighted_posterior_cov,
+)
 from .kernels import AgeKernelParams, KernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain, fit_chain
 from .seeding import FOLDS, substream
@@ -29,12 +38,34 @@ CV_PROTOCOL = {
 
 
 @dataclass(frozen=True)
+class CvFold:
+    """One cross-validation fold: its held-out row indices, the preprocessing
+    fitted on its other rows, and those training rows transformed by it."""
+
+    held_out: np.ndarray
+    standardizer: Standardizer | None
+    pca: PcaTransform | None
+    train_features: np.ndarray
+
+
+@dataclass(frozen=True)
+class FoldQuality:
+    """One fold's held-out MAE/R2, and the log marginal likelihood of its
+    training rows at the start hyperparameters and after its one restart."""
+
+    mae: float
+    r2: float
+    start_log_marginal_likelihood: float
+    log_marginal_likelihood: float
+
+
+@dataclass(frozen=True)
 class FitQualityReport:
     """Cross-validated fit quality: pooled MAE/R2 plus per-fold values."""
 
     mae: float
     r2: float
-    per_fold: tuple[tuple[float, float], ...]
+    per_fold: tuple[FoldQuality, ...]
     folds: int
 
     def __post_init__(self):
@@ -93,51 +124,91 @@ def _mae_and_r2(predicted: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return mae, r2
 
 
-def cross_validated_quality(
+def split_folds(
     features,
-    y,
     folds: int,
-    config: FitConfig,
-    start: KernelParams,
+    seed: int,
     *,
     standardize: bool = False,
     n_components: int | None = None,
-) -> FitQualityReport:
-    """K-fold cross-validated MAE and R2 of the age regression, without leaks.
-
-    ``features`` are raw: each fold fits its own standardizer and PCA (as
-    asked by ``standardize`` and ``n_components``) on its training rows and
-    applies them to its held-out rows. Each fold then runs one L-BFGS-B
-    restart on its training rows, starting from ``start``, the optimum
-    chosen on all rows (``CV_PROTOCOL``).
+) -> tuple[CvFold, ...]:
+    """Split the rows into folds and fit each fold's preprocessing on its
+    training rows only: a standardizer and PCA as asked by ``standardize``
+    and ``n_components``, on raw ``features``.
 
     Fold assignment is a seeded permutation split (deterministic given
-    ``config.seed``). MAE and R2 are computed on the pooled out-of-fold
-    predictions; per-fold values are also reported. A fold whose held-out
-    ages are constant reports R2 = nan rather than failing.
+    ``seed``). This needs no GP fit, so callers run it before fitting
+    anything. A fold whose training rows cannot carry the preprocessing
+    (a column constant on them, or too few rows for ``n_components``)
+    raises SchemaError naming the fold, even when all rows together could.
     """
     x = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be 2-D with one row per y entry")
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D matrix (rows = subjects)")
     m = x.shape[0]
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if folds > m:
         raise ValueError(f"cannot split {m} subjects into {folds} folds")
 
-    order = substream(config.seed, FOLDS).permutation(m)
-    pooled = np.empty(m)
-    per_fold: list[tuple[float, float]] = []
-    for chunk in np.array_split(order, folds):
+    order = substream(seed, FOLDS).permutation(m)
+    split = []
+    for index, held_out in enumerate(np.array_split(order, folds)):
         mask = np.ones(m, dtype=bool)
-        mask[chunk] = False
-        train = x[mask]
-        chain = fit_chain(train, standardize, n_components)
-        fold_model = fit(apply_chain(train, *chain), y[mask], config, start=start)
-        predicted = predict(fold_model, apply_chain(x[chunk], *chain)).y_hat
-        pooled[chunk] = predicted
-        per_fold.append(_mae_and_r2(predicted, y[chunk]))
+        mask[held_out] = False
+        try:
+            standardizer, pca, train = fit_chain(x[mask], standardize, n_components)
+        except ValueError as exc:
+            raise SchemaError(
+                f"cross-validation fold {index} (of folds 0-{folds - 1}) has "
+                f"{m - held_out.size} training rows, which cannot carry the "
+                f"preprocessing: {exc}"
+            ) from None
+        split.append(CvFold(held_out, standardizer, pca, train))
+    return tuple(split)
+
+
+def cross_validated_quality(
+    features, y, folds: tuple[CvFold, ...], config: FitConfig, start: KernelParams
+) -> FitQualityReport:
+    """Cross-validated MAE and R2 of the age regression, without leaks.
+
+    ``features`` are raw and ``folds`` come from ``split_folds``, so each
+    fold's held-out rows go through the preprocessing fitted on its
+    training rows only. Each fold then runs one L-BFGS-B restart on its
+    training rows, starting from ``start``, the optimum chosen on all rows
+    (``CV_PROTOCOL``); its training-row log marginal likelihood at
+    ``start`` and at its end are reported next to its MAE and R2.
+
+    MAE and R2 are computed on the pooled out-of-fold predictions; per-fold
+    values are also reported. A fold whose held-out ages are constant
+    reports R2 = nan rather than failing.
+    """
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("features must be 2-D with one row per y entry")
+    m = x.shape[0]
+
+    pooled = np.empty(m)
+    per_fold: list[FoldQuality] = []
+    for fold in folds:
+        mask = np.ones(m, dtype=bool)
+        mask[fold.held_out] = False
+        fold_model = fit(fold.train_features, y[mask], config, start=start)
+        held_out = apply_chain(x[fold.held_out], fold.standardizer, fold.pca)
+        predicted = predict(fold_model, held_out).y_hat
+        pooled[fold.held_out] = predicted
+        at_start = log_marginal_likelihood(
+            start, fold_model.form, fold_model.x, fold_model.y - fold_model.y_offset
+        )
+        per_fold.append(
+            FoldQuality(
+                *_mae_and_r2(predicted, y[fold.held_out]),
+                start_log_marginal_likelihood=at_start,
+                log_marginal_likelihood=fold_model.log_marginal_likelihood,
+            )
+        )
 
     mae, r2 = _mae_and_r2(pooled, y)
-    return FitQualityReport(mae=mae, r2=r2, per_fold=tuple(per_fold), folds=folds)
+    return FitQualityReport(mae=mae, r2=r2, per_fold=tuple(per_fold), folds=len(folds))

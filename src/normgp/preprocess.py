@@ -116,14 +116,15 @@ def fit_pca(train_features, n_components: int) -> PcaTransform:
 
 def fit_chain(
     train_features, standardize: bool = False, n_components: int | None = None
-) -> tuple[Standardizer | None, PcaTransform | None]:
+) -> tuple[Standardizer | None, PcaTransform | None, np.ndarray]:
     """Fit the preprocessing chain on training rows: the standardizer, then
-    the PCA on its output. Either step is ``None`` when not asked for."""
+    the PCA on its output. Either step is ``None`` when not asked for.
+    Also returns the training rows transformed by the fitted chain."""
     x = _as_feature_matrix(train_features)
     standardizer = fit_standardizer(x) if standardize else None
-    if n_components is None:
-        return standardizer, None
-    return standardizer, fit_pca(apply_chain(x, standardizer), n_components)
+    x = apply_chain(x, standardizer)
+    pca = None if n_components is None else fit_pca(x, n_components)
+    return standardizer, pca, apply_chain(x, pca=pca)
 
 
 def apply_chain(

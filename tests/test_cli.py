@@ -7,7 +7,8 @@ import pytest
 
 from normgp import metrics
 from normgp.cli import main
-from normgp.tabular_io import ScoresTable, load_scores, save_scores
+from normgp.seeding import FOLDS, substream
+from normgp.tabular_io import Cohort, ScoresTable, load_scores, save_cohort, save_scores
 
 
 def _synth(tmp_path, name="train.csv", **overrides):
@@ -61,6 +62,8 @@ def test_full_pipeline(tmp_path, capsys):
     assert len(report["model"]["length_scales"]) == 4
     assert report["quality"]["folds"] == 3
     assert report["quality"]["protocol"] == metrics.CV_PROTOCOL
+    for fold in report["quality"]["per_fold"]:
+        assert fold["log_marginal_likelihood"] >= fold["start_log_marginal_likelihood"]
     assert report["model"]["jitter"] == 0.0
 
     scores = tmp_path / "scores.csv"
@@ -177,6 +180,50 @@ def test_fit_runs_one_optimizer_per_restart_and_per_fold(tmp_path, monkeypatch, 
             "--restarts", str(restarts), "--folds", str(folds), "-q"]
     assert main(argv) == 0
     assert len(calls) == restarts + folds
+
+
+def _fold_breaking_cohort(case):
+    """A cohort whose preprocessing fits on all rows but not on one fold's
+    training rows (4 folds, seed 0)."""
+    rng = np.random.default_rng(13)
+    if case == "standardize":
+        # a site indicator set only in fold 2's held-out rows
+        features = rng.normal(size=(20, 3))
+        held_out = np.array_split(substream(0, FOLDS).permutation(20), 4)[2]
+        features[:, 1] = 0.0
+        features[held_out, 1] = 1.0
+        options = ("--standardize",)
+    else:
+        # 12 rows carry 10 components; 9 training rows carry at most 8
+        features = rng.normal(size=(12, 10))
+        options = ("--pca", "10")
+    m, d = features.shape
+    cohort = Cohort(
+        tuple(f"s{i}" for i in range(m)), features, tuple(f"v{j}" for j in range(d)),
+        np.linspace(20.0, 80.0, m),
+    )
+    return cohort, options
+
+
+@pytest.mark.parametrize("case", ["standardize", "pca"])
+def test_fit_names_a_fold_whose_rows_cannot_carry_the_preprocessing(
+    tmp_path, monkeypatch, capsys, case
+):
+    from scipy import optimize
+
+    calls = []
+    monkeypatch.setattr(optimize, "minimize", lambda *a, **k: calls.append(1))
+    cohort, options = _fold_breaking_cohort(case)
+    train = tmp_path / "train.csv"
+    save_cohort(cohort, train)
+    model = tmp_path / "m.normgp"
+    argv = ["fit", str(train), "--out", str(model), "--folds", "4", "--seed", "0", *options]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cross-validation fold" in err and "training rows" in err
+    # the check runs before any optimizer run, and nothing is written
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [train]
 
 
 def test_synth_is_deterministic_byte_for_byte(tmp_path):

@@ -11,6 +11,7 @@ from normgp.metrics import (
     cross_validated_quality,
     prediction_error,
     score_cohort,
+    split_folds,
 )
 from normgp.preprocess import apply_chain, fit_chain, fit_pca, fit_standardizer
 from normgp.seeding import FOLDS, substream
@@ -174,8 +175,9 @@ def test_cov_w_monotone_in_age_distance_single_train_point():
 
 def _cv(x, y, folds, config, **chain):
     """Cross-validate warm-started from the full-data fit, as ``normgp fit`` does."""
-    full = fit(apply_chain(x, *fit_chain(x, **chain)), y, config)
-    return cross_validated_quality(x, y, folds, config, full.params, **chain)
+    split = split_folds(x, folds, config.seed, **chain)
+    full = fit(fit_chain(x, **chain)[2], y, config)
+    return cross_validated_quality(x, y, split, config, full.params)
 
 
 def test_cross_validated_quality_perfect_predictor():
@@ -204,7 +206,7 @@ def test_cross_validated_quality_constant_predictor_has_nonpositive_r2(monkeypat
     y = rng.uniform(20, 80, 30)
     frozen = KernelParams(length_scales=np.full(2, 1e6), noise_variance=1.0)
     _fit_at(monkeypatch, frozen)
-    report = cross_validated_quality(x, y, 5, FitConfig(center_ages=True), frozen)
+    report = cross_validated_quality(x, y, split_folds(x, 5, 0), FitConfig(center_ages=True), frozen)
     assert report.r2 <= 0.05
 
 
@@ -214,23 +216,55 @@ def test_cross_validated_quality_leave_one_out(monkeypatch):
     x = np.column_stack([y + rng.normal(0, 0.5, 9)])
     params = KernelParams(length_scales=np.array([20.0]), noise_variance=0.5)
     _fit_at(monkeypatch, params)
-    report = cross_validated_quality(x, y, 9, FitConfig(center_ages=True), params)
+    report = cross_validated_quality(x, y, split_folds(x, 9, 0), FitConfig(center_ages=True), params)
     assert report.folds == 9
     assert len(report.per_fold) == 9
     assert math.isfinite(report.mae)
     # single-subject folds have no variance: per-fold r2 is reported as nan
-    assert all(math.isnan(fold_r2) for _, fold_r2 in report.per_fold)
+    assert all(math.isnan(fold.r2) for fold in report.per_fold)
     assert math.isfinite(report.r2)
 
 
 def test_cross_validated_quality_fold_bounds():
     x = np.ones((6, 1)) * np.arange(6).reshape(-1, 1)
-    y = np.linspace(30, 60, 6)
-    start = KernelParams(length_scales=np.ones(1), noise_variance=1.0)
     with pytest.raises(ValueError):
-        cross_validated_quality(x, y, 1, FitConfig(), start)
+        split_folds(x, 1, 0)
     with pytest.raises(ValueError):
-        cross_validated_quality(x, y, 7, FitConfig(), start)
+        split_folds(x, 7, 0)
+
+
+def test_split_folds_partitions_the_rows_and_transforms_only_training_rows():
+    rng = np.random.default_rng(4)
+    x = rng.normal(3.0, 2.0, (23, 4))
+    split = split_folds(x, 4, 9, standardize=True, n_components=2)
+    held_out = np.concatenate([fold.held_out for fold in split])
+    assert np.array_equal(np.sort(held_out), np.arange(23))
+    for fold in split:
+        train = np.delete(x, fold.held_out, axis=0)
+        assert np.array_equal(fold.train_features, apply_chain(train, fold.standardizer, fold.pca))
+
+
+def test_fold_with_a_column_constant_on_its_training_rows_is_named():
+    # A feature that varies only inside one fold's held-out rows, like a
+    # rare site indicator: all rows can be standardized, that fold cannot.
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(20, 3))
+    held_out = np.array_split(substream(0, FOLDS).permutation(20), 4)[2]
+    x[:, 1] = 0.0
+    x[held_out, 1] = 1.0
+    fit_standardizer(x)
+    with pytest.raises(SchemaError, match=r"fold 2 .* 15 training rows.*constant column at index 1"):
+        split_folds(x, 4, 0, standardize=True)
+    assert len(split_folds(x, 4, 0)) == 4
+
+
+def test_fold_with_too_few_training_rows_for_the_pca_is_named():
+    # 12 rows carry 10 components; the 9 training rows of a 4-fold split do not.
+    x = np.random.default_rng(11).normal(size=(12, 10))
+    fit_pca(x, 10)
+    with pytest.raises(SchemaError, match=r"fold 0 .* 9 training rows.*at most .* = 8"):
+        split_folds(x, 4, 0, n_components=10)
+    assert len(split_folds(x, 4, 0, n_components=8)) == 4
 
 
 def test_cross_validated_quality_deterministic():
@@ -244,32 +278,26 @@ def test_cross_validated_quality_deterministic():
     assert a.per_fold == b.per_fold
 
 
-def _record_folds(monkeypatch):
-    """Record each CV fold's preprocessing chain, fold model and fit inputs."""
-    folds = []
-
-    def chain(*args):
-        folds.append({"chain": fit_chain(*args)})
-        return folds[-1]["chain"]
+def _record_fits(monkeypatch):
+    """Record each CV fold's fit inputs and fitted model."""
+    fits = []
 
     def fold_fit(x, y, config, *, start):
-        folds[-1].update(x=x, y=y, start=start, model=fit(x, y, config, start=start))
-        return folds[-1]["model"]
+        fits.append({"x": x, "y": y, "start": start, "model": fit(x, y, config, start=start)})
+        return fits[-1]["model"]
 
-    monkeypatch.setattr(metrics, "fit_chain", chain)
     monkeypatch.setattr(metrics, "fit", fold_fit)
-    return folds
+    return fits
 
 
-def _fingerprint(fold) -> list:
+def _fingerprint(fold, fitted) -> list:
     """The bits of a fold's preprocessing chain, fit inputs and fitted model."""
-    standardizer, pca = fold["chain"]
-    arrays = [fold["x"], fold["y"], fold["model"].params.length_scales, fold["model"].alpha]
-    if standardizer is not None:
-        arrays += [standardizer.means, standardizer.std_devs]
-    if pca is not None:
-        arrays += [pca.mean, pca.components, pca.explained_variance]
-    return [a.tobytes() for a in arrays] + [fold["model"].log_marginal_likelihood]
+    arrays = [fitted["x"], fitted["y"], fitted["model"].params.length_scales, fitted["model"].alpha]
+    if fold.standardizer is not None:
+        arrays += [fold.standardizer.means, fold.standardizer.std_devs]
+    if fold.pca is not None:
+        arrays += [fold.pca.mean, fold.pca.components, fold.pca.explained_variance]
+    return [a.tobytes() for a in arrays] + [fitted["model"].log_marginal_likelihood]
 
 
 @pytest.mark.parametrize(
@@ -289,14 +317,15 @@ def test_held_out_rows_do_not_reach_their_folds_preprocessing_or_model(monkeypat
 
     runs = []
     for features in (x, perturbed):
-        runs.append(_record_folds(monkeypatch))
-        cross_validated_quality(features, y, folds, config, start, **chain)
+        split = split_folds(features, folds, config.seed, **chain)
+        fits = _record_fits(monkeypatch)
+        cross_validated_quality(features, y, split, config, start)
+        runs.append([_fingerprint(fold, fitted) for fold, fitted in zip(split, fits)])
     assert [len(run) for run in runs] == [folds, folds]
-    standardizer, pca = runs[0][0]["chain"]
-    assert (standardizer is not None) == chain.get("standardize", False)
-    assert (pca is not None) == ("n_components" in chain)
+    assert (split[0].standardizer is not None) == chain.get("standardize", False)
+    assert (split[0].pca is not None) == ("n_components" in chain)
     # only the fold that held the perturbed rows out is blind to them
-    unchanged = [_fingerprint(a) == _fingerprint(b) for a, b in zip(*runs)]
+    unchanged = [a == b for a, b in zip(*runs)]
     assert unchanged == [k == 1 for k in range(folds)]
 
 
@@ -305,24 +334,27 @@ def test_each_fold_fits_once_from_the_given_start(monkeypatch):
     y = rng.uniform(20, 80, 30)
     x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 30), rng.normal(size=30)])
     start = KernelParams(length_scales=np.array([1.5, 3.0]), noise_variance=5.0)
-    folds = _record_folds(monkeypatch)
-    cross_validated_quality(x, y, 3, FitConfig(restarts=4, center_ages=True), start)
-    assert len(folds) == 3
-    for fold in folds:
-        assert fold["start"] is start
-        assert len(fold["model"].restart_log_marginals) == 1
+    fits = _record_fits(monkeypatch)
+    cross_validated_quality(x, y, split_folds(x, 3, 0), FitConfig(restarts=4, center_ages=True), start)
+    assert len(fits) == 3
+    for fitted in fits:
+        assert fitted["start"] is start
+        assert len(fitted["model"].restart_log_marginals) == 1
 
 
 def test_warm_started_folds_end_no_lower_than_their_start(monkeypatch):
-    # Each fold's single run climbs from the full-data optimum. It need not
-    # reach a cold multi-start search's best optimum: the fold likelihood
-    # can have a higher peak outside the start's basin.
+    # A weaker check than comparing with a cold multi-start search of each
+    # fold, which this design does not pass: a fold's single run climbs from
+    # the full-data optimum and can stop below a higher peak elsewhere. The
+    # report shows how far each fold climbed from its start.
     cohort = generate_cohort(SynthConfig(n_healthy=80, n_features=4, seed=12))
     config = FitConfig(restarts=5, seed=0, center_ages=True)
-    folds = _record_folds(monkeypatch)
-    _cv(cohort.features, cohort.age, 4, config, standardize=True)
-    assert len(folds) == 4
-    for fold in folds:
-        offset = float(np.mean(fold["y"]))
-        at_start = restore(fold["x"], fold["y"], fold["start"], SUM, y_offset=offset)
-        assert fold["model"].log_marginal_likelihood >= at_start.log_marginal_likelihood
+    fits = _record_fits(monkeypatch)
+    report = _cv(cohort.features, cohort.age, 4, config, standardize=True)
+    assert len(fits) == 4
+    for fold, fitted in zip(report.per_fold, fits):
+        offset = float(np.mean(fitted["y"]))
+        at_start = restore(fitted["x"], fitted["y"], fitted["start"], SUM, y_offset=offset)
+        assert fold.start_log_marginal_likelihood == at_start.log_marginal_likelihood
+        assert fold.log_marginal_likelihood == fitted["model"].log_marginal_likelihood
+        assert fold.log_marginal_likelihood >= fold.start_log_marginal_likelihood

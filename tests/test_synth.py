@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normgp.gpr import FitConfig, fit
-from normgp.metrics import cross_validated_quality
+from normgp.metrics import cross_validated_quality, split_folds
 from normgp.synth import (
     MODES,
     SynthConfig,
@@ -157,6 +157,7 @@ def test_healthy_cohort_supports_an_accurate_age_regression():
     cohort = generate_cohort(SynthConfig(n_healthy=100, n_features=8, seed=5))
     config = FitConfig(restarts=2, seed=5, center_ages=True)
     full = fit(cohort.features, cohort.age, config)
-    report = cross_validated_quality(cohort.features, cohort.age, 5, config, full.params)
+    split = split_folds(cohort.features, 5, config.seed)
+    report = cross_validated_quality(cohort.features, cohort.age, split, config, full.params)
     assert report.mae < 0.25 * 60.0
     assert report.r2 > 0.5
