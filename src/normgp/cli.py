@@ -92,7 +92,6 @@ def cmd_fit(args) -> int:
         form=args.kernel,
         restarts=args.restarts,
         seed=args.seed,
-        max_iterations=args.max_iterations,
         center_ages=args.center_ages,
     )
     model = gpr.fit(features, cohort.age, config)
@@ -121,7 +120,6 @@ def cmd_fit(args) -> int:
             "folds": args.folds,
             "seed": args.seed,
             "center_ages": bool(args.center_ages),
-            "max_iterations": args.max_iterations,
         },
         "data": {
             "n_subjects": len(cohort.subject_ids),
@@ -141,26 +139,11 @@ def cmd_fit(args) -> int:
             "chosen_restart": model.chosen_restart,
             "restart_log_marginals": [float(v) for v in model.restart_log_marginals],
         },
-        "quality": {
-            "mae": quality.mae,
-            "r2": quality.r2,
-            "folds": quality.folds,
-            "protocol": metrics.CV_PROTOCOL,
-            "per_fold": [
-                {
-                    "fold": i,
-                    "mae": fold.mae,
-                    "r2": fold.r2,
-                    "start_log_marginal_likelihood": fold.start_log_marginal_likelihood,
-                    "log_marginal_likelihood": fold.log_marginal_likelihood,
-                }
-                for i, fold in enumerate(quality.per_fold)
-            ],
-        },
+        "quality": quality,
     }
     _write_json(report_path, report)
     _say(args, f"wrote model to {args.out}")
-    _say(args, f"{args.folds}-fold quality: MAE={quality.mae:.3f} R2={quality.r2:.3f}")
+    _say(args, f"{args.folds}-fold quality: MAE={quality['mae']:.3f} R2={quality['r2']:.3f}")
     _say(args, f"wrote fit report to {report_path}")
     return 0
 
@@ -295,10 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=defaults.seed, help="random seed (default %(default)s)"
     )
     p_fit.add_argument("--center-ages", action="store_true", help="model ages around their mean")
-    p_fit.add_argument(
-        "--max-iterations", type=int, default=defaults.max_iterations,
-        help="optimizer iteration cap",
-    )
     p_fit.set_defaults(handler=cmd_fit)
 
     p_score = sub.add_parser("score", parents=[common], help="score a cohort against a trained model")

@@ -50,8 +50,10 @@ _MAX_JITTER_FACTOR = 1e-4
 # feature's standard deviation, noise variance this factor times var(y).
 _LENGTH_SCALE_INIT_RANGE = (0.1, 10.0)
 _NOISE_VARIANCE_INIT_FACTOR = 0.1
-# L-BFGS-B stops when the projected gradient falls below this.
+# L-BFGS-B stops when the projected gradient falls below this, or after
+# this many iterations.
 _GRADIENT_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 200
 
 
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
@@ -110,7 +112,6 @@ class FitConfig:
     form: str = SUM
     restarts: int = 5
     seed: int = 0
-    max_iterations: int = 200
     center_ages: bool = False
 
     def __post_init__(self):
@@ -118,8 +119,6 @@ class FitConfig:
             raise ValueError(f"unknown kernel form {self.form!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def fit(
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,
-            options={"maxiter": cfg.max_iterations, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
+            options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
         )
         if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
             return -math.inf, None

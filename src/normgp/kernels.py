@@ -201,9 +201,9 @@ class PairDistances:
 
     They do not depend on the hyperparameters, so a fit builds them once and
     every evaluation of its optimizer restarts reuses them, together with
-    the pair buffers of ``form``'s kernel that this object owns. One
-    instance serves one thread. A same-set Gram matrix needs only its strict
-    lower triangle and known diagonal, which halves storage and kernel work.
+    the pair buffers of ``form``'s kernel that this object owns. A same-set
+    Gram matrix needs only its strict lower triangle and known diagonal,
+    which halves storage and kernel work.
     """
 
     def __init__(self, x: np.ndarray, form: str):

@@ -48,31 +48,6 @@ class CvFold:
     train_features: np.ndarray
 
 
-@dataclass(frozen=True)
-class FoldQuality:
-    """One fold's held-out MAE/R2, and the log marginal likelihood of its
-    training rows at the start hyperparameters and after its one restart."""
-
-    mae: float
-    r2: float
-    start_log_marginal_likelihood: float
-    log_marginal_likelihood: float
-
-
-@dataclass(frozen=True)
-class FitQualityReport:
-    """Cross-validated fit quality: pooled MAE/R2 plus per-fold values."""
-
-    mae: float
-    r2: float
-    per_fold: tuple[FoldQuality, ...]
-    folds: int
-
-    def __post_init__(self):
-        if len(self.per_fold) != self.folds:
-            raise ValueError("per_fold length must equal the fold count")
-
-
 def prediction_error(y_hat, y) -> np.ndarray:
     """Signed prediction error: predicted age minus chronological age."""
     y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
@@ -139,8 +114,9 @@ def split_folds(
     Fold assignment is a seeded permutation split (deterministic given
     ``seed``). This needs no GP fit, so callers run it before fitting
     anything. A fold whose training rows cannot carry the preprocessing
-    (a column constant on them, or too few rows for ``n_components``)
-    raises SchemaError naming the fold, even when all rows together could.
+    (a column constant on them, or too few rows for ``n_components``) or
+    a GP fit (fewer than 2 rows) raises SchemaError naming the fold, even
+    when all rows together could.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -157,12 +133,14 @@ def split_folds(
         mask = np.ones(m, dtype=bool)
         mask[held_out] = False
         try:
+            if m - held_out.size < 2:
+                raise ValueError("a GP fit needs at least 2 training rows")
             standardizer, pca, train = fit_chain(x[mask], standardize, n_components)
         except ValueError as exc:
             raise SchemaError(
                 f"cross-validation fold {index} (of folds 0-{folds - 1}) has "
                 f"{m - held_out.size} training rows, which cannot carry the "
-                f"preprocessing: {exc}"
+                f"fold's preprocessing and fit: {exc}"
             ) from None
         split.append(CvFold(held_out, standardizer, pca, train))
     return tuple(split)
@@ -170,7 +148,7 @@ def split_folds(
 
 def cross_validated_quality(
     features, y, folds: tuple[CvFold, ...], config: FitConfig, start: KernelParams
-) -> FitQualityReport:
+) -> dict:
     """Cross-validated MAE and R2 of the age regression, without leaks.
 
     ``features`` are raw and ``folds`` come from ``split_folds``, so each
@@ -180,9 +158,10 @@ def cross_validated_quality(
     (``CV_PROTOCOL``); its training-row log marginal likelihood at
     ``start`` and at its end are reported next to its MAE and R2.
 
-    MAE and R2 are computed on the pooled out-of-fold predictions; per-fold
-    values are also reported. A fold whose held-out ages are constant
-    reports R2 = nan rather than failing.
+    Returns the fit report's ``quality`` block: ``mae`` and ``r2`` of the
+    pooled out-of-fold predictions, ``folds``, ``protocol`` (a copy of
+    ``CV_PROTOCOL``) and one ``per_fold`` entry per fold. A fold whose
+    held-out ages are constant reports R2 = nan rather than failing.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -191,24 +170,30 @@ def cross_validated_quality(
     m = x.shape[0]
 
     pooled = np.empty(m)
-    per_fold: list[FoldQuality] = []
-    for fold in folds:
+    per_fold = []
+    for index, fold in enumerate(folds):
         mask = np.ones(m, dtype=bool)
         mask[fold.held_out] = False
         fold_model = fit(fold.train_features, y[mask], config, start=start)
         held_out = apply_chain(x[fold.held_out], fold.standardizer, fold.pca)
         predicted = predict(fold_model, held_out).y_hat
         pooled[fold.held_out] = predicted
-        at_start = log_marginal_likelihood(
-            start, fold_model.form, fold_model.x, fold_model.y - fold_model.y_offset
-        )
-        per_fold.append(
-            FoldQuality(
-                *_mae_and_r2(predicted, y[fold.held_out]),
-                start_log_marginal_likelihood=at_start,
-                log_marginal_likelihood=fold_model.log_marginal_likelihood,
-            )
-        )
+        mae, r2 = _mae_and_r2(predicted, y[fold.held_out])
+        per_fold.append({
+            "fold": index,
+            "mae": mae,
+            "r2": r2,
+            "start_log_marginal_likelihood": log_marginal_likelihood(
+                start, fold_model.form, fold_model.x, fold_model.y - fold_model.y_offset
+            ),
+            "log_marginal_likelihood": fold_model.log_marginal_likelihood,
+        })
 
     mae, r2 = _mae_and_r2(pooled, y)
-    return FitQualityReport(mae=mae, r2=r2, per_fold=tuple(per_fold), folds=len(folds))
+    return {
+        "mae": mae,
+        "r2": r2,
+        "folds": len(folds),
+        "protocol": dict(CV_PROTOCOL),
+        "per_fold": per_fold,
+    }

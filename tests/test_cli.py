@@ -183,8 +183,10 @@ def test_fit_runs_one_optimizer_per_restart_and_per_fold(tmp_path, monkeypatch, 
 
 
 def _fold_breaking_cohort(case):
-    """A cohort whose preprocessing fits on all rows but not on one fold's
-    training rows (4 folds, seed 0)."""
+    """A cohort whose preprocessing and GP fit work on all rows but not on
+    one fold's training rows (seed 0), the fit options that show it, and
+    what the error says: the fold with its training-row count, and the
+    limit those rows break."""
     rng = np.random.default_rng(13)
     if case == "standardize":
         # a site indicator set only in fold 2's held-out rows
@@ -192,20 +194,27 @@ def _fold_breaking_cohort(case):
         held_out = np.array_split(substream(0, FOLDS).permutation(20), 4)[2]
         features[:, 1] = 0.0
         features[held_out, 1] = 1.0
-        options = ("--standardize",)
-    else:
+        options = ("--folds", "4", "--standardize")
+        expected = ("fold 2 (of folds 0-3) has 15 training rows", "constant column at index 1")
+    elif case == "pca":
         # 12 rows carry 10 components; 9 training rows carry at most 8
         features = rng.normal(size=(12, 10))
-        options = ("--pca", "10")
+        options = ("--folds", "4", "--pca", "10")
+        expected = ("fold 0 (of folds 0-3) has 9 training rows", "n_features) = 8 available")
+    else:
+        # 2 or 3 rows in 2 folds: fold 0 leaves one row to fit a GP on
+        features = rng.normal(size=(int(case[0]), 2))
+        options = ("--folds", "2")
+        expected = ("fold 0 (of folds 0-1) has 1 training rows", "at least 2 training rows")
     m, d = features.shape
     cohort = Cohort(
         tuple(f"s{i}" for i in range(m)), features, tuple(f"v{j}" for j in range(d)),
         np.linspace(20.0, 80.0, m),
     )
-    return cohort, options
+    return cohort, options, expected
 
 
-@pytest.mark.parametrize("case", ["standardize", "pca"])
+@pytest.mark.parametrize("case", ["standardize", "pca", "2 rows", "3 rows"])
 def test_fit_names_a_fold_whose_rows_cannot_carry_the_preprocessing(
     tmp_path, monkeypatch, capsys, case
 ):
@@ -213,17 +222,41 @@ def test_fit_names_a_fold_whose_rows_cannot_carry_the_preprocessing(
 
     calls = []
     monkeypatch.setattr(optimize, "minimize", lambda *a, **k: calls.append(1))
-    cohort, options = _fold_breaking_cohort(case)
+    cohort, options, expected = _fold_breaking_cohort(case)
     train = tmp_path / "train.csv"
     save_cohort(cohort, train)
     model = tmp_path / "m.normgp"
-    argv = ["fit", str(train), "--out", str(model), "--folds", "4", "--seed", "0", *options]
+    argv = ["fit", str(train), "--out", str(model), "--seed", "0", *options]
     assert main(argv) == 2
+    named, limit = expected
     err = capsys.readouterr().err
-    assert "cross-validation fold" in err and "training rows" in err
+    assert err.startswith(f"error: cross-validation {named}, ") and limit in err
     # the check runs before any optimizer run, and nothing is written
     assert calls == []
     assert list(tmp_path.iterdir()) == [train]
+
+
+def test_fit_report_has_exactly_these_keys(tmp_path):
+    _fit(tmp_path, _synth(tmp_path))
+    report = json.loads((tmp_path / "model.normgp.report.json").read_text())
+    assert set(report) == {"command", "config", "data", "model", "quality"}
+    assert set(report["config"]) == {
+        "train_csv", "out", "report", "kernel", "pca", "standardize",
+        "restarts", "folds", "seed", "center_ages",
+    }
+    assert set(report["quality"]) == {"mae", "r2", "folds", "protocol", "per_fold"}
+    assert [set(fold) for fold in report["quality"]["per_fold"]] == [{
+        "fold", "mae", "r2", "start_log_marginal_likelihood", "log_marginal_likelihood",
+    }] * 3
+    assert [fold["fold"] for fold in report["quality"]["per_fold"]] == [0, 1, 2]
+
+
+def test_fit_has_no_iteration_cap_option(tmp_path, capsys):
+    train = _synth(tmp_path)
+    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--max-iterations", "5"]
+    assert main(argv) == 2
+    assert "--max-iterations" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_synth_is_deterministic_byte_for_byte(tmp_path):
@@ -302,8 +335,8 @@ def test_option_defaults_come_from_the_library():
     parser = _build_parser()
     fit_args = parser.parse_args(["fit", "train.csv", "--out", "model"])
     config = FitConfig()
-    assert (fit_args.restarts, fit_args.seed, fit_args.max_iterations) == (
-        config.restarts, config.seed, config.max_iterations
+    assert (fit_args.kernel, fit_args.restarts, fit_args.seed, fit_args.center_ages) == (
+        config.form, config.restarts, config.seed, config.center_ages
     )
     sweep_args = parser.parse_args(["sweep", "model", "test.csv", "--out", "sweep.csv"])
     assert _parse_grid(sweep_args.ly_grid) == DEFAULT_LY_GRID

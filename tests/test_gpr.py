@@ -312,10 +312,11 @@ def test_fit_input_validation():
 
 
 def test_fit_config_holds_only_the_settings_callers_set():
-    # the jitter ladder, starting points and gradient tolerance are fixed
-    # constants, and a model at given hyperparameters comes from restore
+    # the jitter ladder, starting points, gradient tolerance and iteration
+    # cap are fixed constants, and a model at given hyperparameters comes
+    # from restore
     assert [field.name for field in dataclasses.fields(FitConfig)] == [
-        "form", "restarts", "seed", "max_iterations", "center_ages",
+        "form", "restarts", "seed", "center_ages",
     ]
 
 
