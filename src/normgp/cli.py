@@ -98,6 +98,7 @@ def cmd_fit(args) -> int:
     quality = metrics.cross_validated_quality(
         cohort.features, cohort.age, folds, config, model.params
     )
+    warnings = metrics.fit_warnings(model, quality)
     artifact = tabular_io.artifact_from_fit(
         model,
         cohort.feature_names,
@@ -140,8 +141,11 @@ def cmd_fit(args) -> int:
             "restart_log_marginals": [float(v) for v in model.restart_log_marginals],
         },
         "quality": quality,
+        "warnings": warnings,
     }
     _write_json(report_path, report)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     _say(args, f"wrote model to {args.out}")
     _say(args, f"{args.folds}-fold quality: MAE={quality['mae']:.3f} R2={quality['r2']:.3f}")
     _say(args, f"wrote fit report to {report_path}")

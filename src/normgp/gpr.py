@@ -7,7 +7,8 @@ Cholesky factor through LAPACK ``dpotri``. Inference goes through
 a cached Cholesky factorization of the training Gram matrix — never an
 explicit inverse. The age-weighted posterior variance reweights the
 unweighted feature Gram blocks by an age factor, reusing the fitted
-hyperparameters, and forms only the variance diagonal.
+hyperparameters, and forms only the variance diagonal, one row block of
+test rows at a time.
 
 scipy is imported inside the functions that factorize or solve, so a stage
 that never touches a Gram matrix never loads it.
@@ -28,6 +29,7 @@ from .kernels import (
     AgeKernelParams,
     KernelParams,
     PairDistances,
+    _row_blocks,
     age_factor,
     gram_matrix,
     prior_variance,
@@ -392,20 +394,38 @@ def restore(
 
 
 def _posterior_variance(
-    chol: np.ndarray, k_star: np.ndarray, prior: float, k_tt: np.ndarray | None = None
+    chol: np.ndarray,
+    k_star: np.ndarray,
+    prior: float,
+    k_tt: np.ndarray | None = None,
+    reweight=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Posterior variance diagonal from the cross Gram block.
 
-    Given the test-test prior block ``k_tt``, also returns the full
-    covariance, with the clamped variance on its diagonal exactly. Clamps
+    A test row's variance needs only its own row of ``k_star``, so rows are
+    solved, squared and summed one row block at a time. ``reweight(rows,
+    block)``, when given, returns that block of ``k_star`` under the kernel
+    the variance is for, as a new array that the solve overwrites. Given
+    the test-test prior block ``k_tt``, all rows form one block and the
+    full covariance is also returned, with the clamped variance on its
+    diagonal exactly. Clamps
     tiny negative values (>= -1e-10) to zero; anything more negative is a
-    genuine numerical failure. The solve's n x m block is squared in place.
+    genuine numerical failure.
     """
     from scipy.linalg import solve_triangular
 
-    v = solve_triangular(chol, k_star.T, lower=True, check_finite=False)
-    cov = None if k_tt is None else k_tt - v.T @ v
-    raw = prior - np.sum(np.multiply(v, v, out=v), axis=0)
+    n = k_star.shape[0]
+    blocks = [slice(0, n)] if k_tt is not None else _row_blocks(*k_star.shape)
+    raw = np.empty(n)
+    cov = None
+    for rows in blocks:
+        block = k_star[rows] if reweight is None else reweight(rows, k_star[rows])
+        v = solve_triangular(chol, block.T, lower=True, check_finite=False,
+                             overwrite_b=reweight is not None)
+        if k_tt is not None:
+            cov = k_tt - v.T @ v
+        raw[rows] = prior - np.sum(np.multiply(v, v, out=v), axis=0)
+        del block, v  # freed before the next block is made
     worst = float(raw.min()) if raw.size else 0.0
     if worst < _NEGATIVE_VARIANCE_TOLERANCE:
         raise NumericalError(
@@ -482,10 +502,11 @@ def weighted_posterior_cov(
     training Gram is factorized here, and a ``RuntimeWarning`` names the
     jitter when it needed any.
 
-    Only the variance diagonal is formed, in O(n*m) memory for n test rows
-    and m training rows. ``grams`` passes feature blocks from
-    ``feature_grams`` for the same ``x_test``, so a sweep over age
-    parameters builds them once.
+    Only the variance diagonal is formed. Test rows are age-weighted,
+    solved and summed one row block at a time, so past the test-by-training
+    feature block and the m x m training work a call holds about two row
+    blocks. ``grams`` passes feature blocks from ``feature_grams`` for the
+    same ``x_test``, so a sweep over age parameters builds them once.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     ages = np.asarray(test_ages, dtype=float).reshape(-1)
@@ -501,16 +522,21 @@ def weighted_posterior_cov(
         k_train = grams.train if grams is not None else None
         if k_train is None:
             k_train = gram_matrix(model.x, model.x, model.params, model.form)
-        k_train = np.multiply(age_factor(model.y, model.y, age_params), k_train)
+        factor = age_factor(model.y, model.y, age_params)
+        k_train = np.multiply(factor, k_train, out=factor)
         np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
         chol, jitter = stable_cholesky(k_train)
         if jitter:
             message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-    if not unweighted:  # at l_y = inf the age factor is exactly one
-        factor = age_factor(ages, model.y, age_params)
-        k_star = np.multiply(factor, k_star, out=factor)
+
+    def reweight(rows, block):
+        factor = age_factor(ages[rows], model.y, age_params)
+        return np.multiply(factor, block, out=factor)
+
     variance, _ = _posterior_variance(
-        chol, k_star, zero_distance_value(model.params, model.form)
+        chol, k_star, zero_distance_value(model.params, model.form),
+        # at l_y = inf the age factor is exactly one
+        reweight=None if unweighted else reweight,
     )
     return WeightedCovariance(variance=variance, jitter=jitter)

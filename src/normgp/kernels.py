@@ -29,11 +29,22 @@ import numpy as np
 SUM = "sum"
 PRODUCT = "product"
 FORMS = (SUM, PRODUCT)
+# Doubles in one row block (4 MiB): n x m work over test rows runs one block
+# of rows at a time. Smaller blocks hold less, but each block's triangular
+# solve re-reads the whole m x m factor, which costs time at large m.
+_BLOCK_ENTRIES = 2**19
 
 
 def _check_form(form: str) -> None:
     if form not in FORMS:
         raise ValueError(f"unknown kernel form {form!r}; expected one of {FORMS}")
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices covering ``n_rows`` rows, each at most one block
+    of ``n_cols`` columns (at least one row)."""
+    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -142,6 +153,13 @@ def _feature_kernel(form, squared, length_scales, out, terms):
     return out
 
 
+def _squared_distances(a, b, out):
+    """Each feature's squared distances between the rows of ``a`` and ``b``, in turn into ``out``."""
+    for dim in range(a.shape[1]):
+        np.subtract(a[:, dim, None], b[None, :, dim], out=out)
+        yield np.multiply(out, out, out=out)
+
+
 def gram_matrix(
     a,
     b,
@@ -162,7 +180,9 @@ def gram_matrix(
 
     Distances are accumulated per feature dimension, never through a
     squared-norm expansion, so near-duplicate rows do not cancel
-    catastrophically. Besides the result, one scratch block is alive.
+    catastrophically. The result is filled one row block of ``a`` at a
+    time, so besides it only one row block of scratch is alive; each entry
+    sees the same operations whatever the block size.
     """
     _check_form(form)
     a = _as_matrix(a, params.n_features, "a")
@@ -172,26 +192,25 @@ def gram_matrix(
     if age_params is None and (ages_a is not None or ages_b is not None):
         raise ValueError("ages were supplied but no age_params; unweighted kernels ignore ages")
 
-    scratch = np.empty((a.shape[0], b.shape[0]))
-
-    def squared():
-        for dim in range(params.n_features):
-            np.subtract(a[:, dim, None], b[None, :, dim], out=scratch)
-            yield np.multiply(scratch, scratch, out=scratch)
-
-    k = _feature_kernel(form, squared(), params.length_scales, np.empty_like(scratch),
-                        repeat(scratch))
-
     if age_params is not None:
         ya = np.atleast_1d(np.asarray(ages_a, dtype=float))
         yb = np.atleast_1d(np.asarray(ages_b, dtype=float))
         if ya.shape[0] != a.shape[0] or yb.shape[0] != b.shape[0]:
             raise ValueError("age vectors must match the corresponding row counts")
-        k *= age_factor(ya, yb, age_params, out=scratch)
+    if same_set and a.shape[0] != b.shape[0]:
+        raise ValueError("same_set=True requires square output")
+
+    k = np.empty((a.shape[0], b.shape[0]))
+    blocks = _row_blocks(*k.shape)
+    buffer = np.empty((blocks[0].stop if blocks else 0, b.shape[0]))
+    for rows in blocks:
+        scratch = buffer[: rows.stop - rows.start]
+        block = _feature_kernel(form, _squared_distances(a[rows], b, scratch),
+                                params.length_scales, k[rows], repeat(scratch))
+        if age_params is not None:
+            block *= age_factor(ya[rows], yb, age_params, out=scratch)
 
     if same_set:
-        if a.shape[0] != b.shape[0]:
-            raise ValueError("same_set=True requires square output")
         np.fill_diagonal(k, prior_variance(params, form, age_params))
     return k
 

@@ -197,3 +197,23 @@ def cross_validated_quality(
         "protocol": dict(CV_PROTOCOL),
         "per_fold": per_fold,
     }
+
+
+def fit_warnings(model: TrainedModel, quality: dict) -> list[str]:
+    """Why a fit explains nothing, if it does not: a cross-validated R2 at or
+    below 0 (no better than the mean age), or a noise variance at least the
+    variance of the centred training ages (the kernel carries none of it)."""
+    found = []
+    if quality["r2"] <= 0.0:
+        found.append(
+            f"cross-validated R2 is {quality['r2']:.4g}: the model predicts age "
+            "no better than the mean training age"
+        )
+    age_variance = float(np.var(model.y))
+    if model.params.noise_variance >= age_variance:
+        found.append(
+            f"the fitted noise variance {model.params.noise_variance:.4g} is at least "
+            f"the variance of the centred training ages ({age_variance:.4g}): "
+            "the kernel explains none of the age variation"
+        )
+    return found

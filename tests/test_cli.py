@@ -8,7 +8,14 @@ import pytest
 from normgp import metrics
 from normgp.cli import main
 from normgp.seeding import FOLDS, substream
-from normgp.tabular_io import Cohort, ScoresTable, load_scores, save_cohort, save_scores
+from normgp.tabular_io import (
+    Cohort,
+    ScoresTable,
+    load_cohort,
+    load_scores,
+    save_cohort,
+    save_scores,
+)
 
 
 def _synth(tmp_path, name="train.csv", **overrides):
@@ -239,7 +246,8 @@ def test_fit_names_a_fold_whose_rows_cannot_carry_the_preprocessing(
 def test_fit_report_has_exactly_these_keys(tmp_path):
     _fit(tmp_path, _synth(tmp_path))
     report = json.loads((tmp_path / "model.normgp.report.json").read_text())
-    assert set(report) == {"command", "config", "data", "model", "quality"}
+    assert set(report) == {"command", "config", "data", "model", "quality", "warnings"}
+    assert report["warnings"] == []
     assert set(report["config"]) == {
         "train_csv", "out", "report", "kernel", "pca", "standardize",
         "restarts", "folds", "seed", "center_ages",
@@ -249,6 +257,22 @@ def test_fit_report_has_exactly_these_keys(tmp_path):
         "fold", "mae", "r2", "start_log_marginal_likelihood", "log_marginal_likelihood",
     }] * 3
     assert [fold["fold"] for fold in report["quality"]["per_fold"]] == [0, 1, 2]
+
+
+def test_fit_warns_when_the_model_explains_nothing(tmp_path, capsys):
+    # uncentered, the product kernel fits these 30 subjects as pure noise
+    train = _synth(tmp_path)
+    capsys.readouterr()
+    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--kernel", "product",
+            "--restarts", "1", "--folds", "3", "-q"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    report = json.loads((tmp_path / "m.report.json").read_text())
+    assert report["quality"]["r2"] <= 0.0
+    assert report["model"]["noise_variance"] >= np.var(load_cohort(train).age)
+    assert len(report["warnings"]) == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"warning: {text}" for text in report["warnings"]]
 
 
 def test_fit_has_no_iteration_cap_option(tmp_path, capsys):

@@ -15,6 +15,7 @@ from conftest import (
     random_age_params,
     random_instance,
 )
+from normgp import kernels
 from normgp.errors import ConditioningError, NumericalError
 from normgp.gpr import (
     FitConfig,
@@ -30,6 +31,7 @@ from normgp.gpr import (
     weighted_posterior_cov,
 )
 from normgp.kernels import (
+    FORMS,
     PRODUCT,
     SUM,
     AgeKernelParams,
@@ -573,8 +575,9 @@ def test_full_cov_diagonal_equals_variance_exactly():
 
 
 def test_weighted_variance_holds_one_test_by_training_block():
-    # v is squared in place, so past its inputs a call holds the triangular
-    # solve's n x m block and a few vectors, not a second n x m block
+    # v is squared in place, so past its inputs a call holds one row block of
+    # the triangular solve (here all 2000 rows) and a few vectors, not a
+    # second n x m block
     rng = np.random.default_rng(23)
     n, m = 2000, 200
     x = rng.normal(size=(m, 3))
@@ -589,6 +592,64 @@ def test_weighted_variance_holds_one_test_by_training_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * n * m * 8
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_row_blocked_posteriors_match_one_block(form, monkeypatch):
+    # a test row's variance reads only its own row of k*, so solving a row
+    # block at a time agrees with solving every test row at once
+    rng = np.random.default_rng(29)
+    m, d = 64, 3
+    block = kernels._BLOCK_ENTRIES // m
+    x = rng.normal(size=(m, d))
+    params = KernelParams(rng.uniform(0.5, 2.0, d), 0.3)
+    model = restore(x, rng.uniform(20, 80, m), params, form, y_offset=50.0)
+    x_test = rng.normal(size=(block + 1, d))
+    ages = rng.uniform(20, 80, block + 1)
+    settings = (AgeKernelParams(10.0), AgeKernelParams(math.inf), AgeKernelParams(math.inf, 0.2))
+
+    def posteriors():
+        out = []
+        for n in (1, block - 1, block, block + 1):
+            result = predict(model, x_test[:n])
+            weighted = [
+                weighted_posterior_cov(model, x_test[:n], ages[:n], age_params).variance
+                for age_params in settings
+            ]
+            out.append((result.y_hat, result.variance, weighted))
+        return out
+
+    blocked = posteriors()
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**62)
+    whole = posteriors()
+    for (y_hat, variance, weighted), (y_hat_1, variance_1, weighted_1) in zip(blocked, whole):
+        assert np.array_equal(y_hat, y_hat_1)
+        np.testing.assert_allclose(variance, variance_1, rtol=1e-12, atol=0.0)
+        for cov_w, cov_w_1 in zip(weighted, weighted_1):
+            np.testing.assert_allclose(cov_w, cov_w_1, rtol=1e-12, atol=0.0)
+        assert np.array_equal(weighted[1], variance)  # l_y = inf, no age noise
+
+
+def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
+    # past the prebuilt feature blocks: the m x m weighted training work and
+    # about one row block of test rows at a time, however many test rows
+    rng = np.random.default_rng(31)
+    m, d = 100, 3
+    n = 6 * (kernels._BLOCK_ENTRIES // m)
+    x = rng.normal(size=(m, d))
+    model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(d), 0.5), SUM)
+    x_test = rng.normal(size=(n, d))
+    ages = rng.uniform(20, 80, n)
+    grams = feature_grams(model, x_test)
+    tracemalloc.start()
+    try:
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), grams=grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_block = kernels._BLOCK_ENTRIES * 8
+    assert peak < 2 * row_block + 4 * m * m * 8 + 4 * n * 8
+    assert peak < 0.2 * n * m * 8
 
 
 def test_stable_cholesky_clean_matrix_needs_no_jitter():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_age_similarity, naive_gram, naive_kernel_value
+from normgp import kernels
 from normgp.kernels import (
     FORMS,
     PRODUCT,
@@ -302,6 +303,50 @@ def test_gram_matrix_keeps_one_scratch_block(form):
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * block
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_row_blocked_gram_matrix_is_bitwise_one_block(form, monkeypatch):
+    # every entry sees the same elementwise operations in any row block
+    rng = np.random.default_rng(21)
+    params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 3))
+    b = rng.normal(size=(64, 3))
+    block = kernels._BLOCK_ENTRIES // b.shape[0]
+    a = rng.normal(size=(block + 1, 3))
+    ages_a, ages_b = rng.uniform(20, 80, block + 1), rng.uniform(20, 80, 64)
+
+    def grams():
+        out = []
+        for n in (1, block - 1, block, block + 1):
+            out.append(gram_matrix(a[:n], b, params, form))
+            for age_params in (AgeKernelParams(10.0, 0.2), AgeKernelParams(math.inf)):
+                out.append(gram_matrix(a[:n], b, params, form, age_params=age_params,
+                                       ages_a=ages_a[:n], ages_b=ages_b))
+        return out
+
+    blocked = grams()
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**62)
+    for got, expected in zip(blocked, grams(), strict=True):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_gram_matrix_holds_its_result_and_one_row_block(form):
+    rng = np.random.default_rng(22)
+    params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 5))
+    b = rng.normal(size=(100, 5))
+    n = 6 * (kernels._BLOCK_ENTRIES // b.shape[0])
+    a = rng.normal(size=(n, 5))
+    ages_a, ages_b = rng.uniform(20, 80, n), rng.uniform(20, 80, 100)
+    result = n * b.shape[0] * 8
+    for kwargs in ({}, {"age_params": AgeKernelParams(10.0), "ages_a": ages_a, "ages_b": ages_b}):
+        tracemalloc.start()
+        try:
+            gram_matrix(a, b, params, form, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < result + 2 * kernels._BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("form", FORMS)

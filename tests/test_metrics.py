@@ -9,6 +9,7 @@ from normgp.gpr import FitConfig, fit, predict, restore, weighted_posterior_cov
 from normgp.kernels import SUM, AgeKernelParams, KernelParams
 from normgp.metrics import (
     cross_validated_quality,
+    fit_warnings,
     prediction_error,
     score_cohort,
     split_folds,
@@ -376,3 +377,20 @@ def test_warm_started_cv_predicts_about_as_well_as_cold_started_cv(seed):
         cold[fold.held_out] = predict(model, x[fold.held_out]).y_hat
     assert config.restarts == 5
     assert warm["mae"] <= 1.10 * float(np.mean(np.abs(cold - y)))
+
+
+def test_fit_warnings_flag_a_fit_that_explains_nothing():
+    y = np.array([20.0, 35.0, 50.0, 65.0])  # centred, their variance is 281.25
+    x = np.arange(4.0)[:, None]
+
+    def warned(r2, noise_variance):
+        model = restore(x, y, KernelParams(np.ones(1), noise_variance), SUM, y_offset=42.5)
+        found = fit_warnings(model, {"r2": r2})
+        return [("R2" in text, "noise variance" in text) for text in found]
+
+    assert warned(0.3, 281.2) == []
+    assert warned(math.nan, 1.0) == []  # constant held-out ages leave R2 undefined
+    assert warned(0.0, 1.0) == [(True, False)]
+    assert warned(-2.0, 281.2) == [(True, False)]
+    assert warned(0.3, 281.25) == [(False, True)]
+    assert warned(-0.1, 1e4) == [(True, False), (False, True)]
