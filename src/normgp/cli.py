@@ -88,12 +88,7 @@ def cmd_fit(args) -> int:
         cohort.features, args.folds, args.seed,
         standardize=args.standardize, n_components=args.pca,
     )
-    config = gpr.FitConfig(
-        form=args.kernel,
-        restarts=args.restarts,
-        seed=args.seed,
-        center_ages=args.center_ages,
-    )
+    config = gpr.FitConfig(form=args.kernel, restarts=args.restarts, seed=args.seed)
     model = gpr.fit(features, cohort.age, config)
     quality = metrics.cross_validated_quality(
         cohort.features, cohort.age, folds, config, model.params
@@ -120,7 +115,6 @@ def cmd_fit(args) -> int:
             "restarts": args.restarts,
             "folds": args.folds,
             "seed": args.seed,
-            "center_ages": bool(args.center_ages),
         },
         "data": {
             "n_subjects": len(cohort.subject_ids),
@@ -281,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--seed", type=int, default=defaults.seed, help="random seed (default %(default)s)"
     )
-    p_fit.add_argument("--center-ages", action="store_true", help="model ages around their mean")
+    # Ages are always centred; bench/run.py's train stage still passes this flag.
+    p_fit.add_argument("--center-ages", action="store_true", help=argparse.SUPPRESS)
     p_fit.set_defaults(handler=cmd_fit)
 
     p_score = sub.add_parser("score", parents=[common], help="score a cohort against a trained model")

@@ -106,15 +106,13 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
 class FitConfig:
     """Settings for marginal-likelihood training.
 
-    ``center_ages`` subtracts the training mean from the targets before
-    fitting (the offset is added back at prediction). A model at given
-    hyperparameters comes from ``restore``, not from ``fit``.
+    A model at given hyperparameters comes from ``restore``, not from
+    ``fit``.
     """
 
     form: str = SUM
     restarts: int = 5
     seed: int = 0
-    center_ages: bool = False
 
     def __post_init__(self):
         if self.form not in FORMS:
@@ -129,8 +127,7 @@ class TrainedModel:
 
     ``alpha`` solves ``(K + jitter*I) alpha = y - y_offset``; ``chol`` is the
     lower Cholesky factor of the same matrix. ``y`` keeps the chronological
-    training ages (needed by the age-weighted kernel even when the
-    regression ran on centered targets).
+    training ages, which the age-weighted kernel needs.
     """
 
     x: np.ndarray
@@ -278,6 +275,9 @@ def fit(
 ) -> TrainedModel:
     """Train the GP by maximizing the log marginal likelihood.
 
+    The kernel has no mean, so the ages are centred: ``y_offset`` is
+    ``mean(y)``, and predictions add it back.
+
     Runs ``config.restarts`` independent L-BFGS-B starts one after another
     (drawn upfront from the seeded restart substream) and keeps the restart
     with the highest final log marginal likelihood; ties break toward the
@@ -294,7 +294,7 @@ def fit(
     if m < 2:
         raise ValueError("need at least 2 training subjects")
     y = _validated_targets(y, m)
-    y_offset = float(np.mean(y)) if cfg.center_ages else 0.0
+    y_offset = float(np.mean(y))
     centered = y - y_offset
 
     if start is None:

@@ -122,7 +122,7 @@ def test_criterion_3_infinite_age_scale_collapses_to_plain_cov(capsys, tmp_path)
                      "--n-diseased", "10", "--mode", "orthogonal",
                      "--n-features", "3", "--seed", "22"]) == 0
     assert cli_main(["fit", "-q", str(train), "--out", str(model),
-                     "--restarts", "1", "--folds", "3", "--center-ages"]) == 0
+                     "--restarts", "1", "--folds", "3"]) == 0
     # default scoring: infinite age length scale, zero age noise
     assert cli_main(["score", "-q", str(model), str(test), "--out", str(scores)]) == 0
     table = load_scores(scores)
@@ -186,7 +186,7 @@ def test_criterion_5_planted_deviations_are_detected_by_the_right_metric(capsys)
     train = generate_cohort(
         SynthConfig(n_healthy=500, n_features=8, seed=101, trajectory_seed=trajectory_seed)
     )
-    model = fit(train.features, train.age, FitConfig(restarts=3, seed=0, center_ages=True))
+    model = fit(train.features, train.age, FitConfig(restarts=3, seed=0))
     labels = [0] * 200 + [1] * 200
 
     def test_cohort(mode, seed):
@@ -366,7 +366,7 @@ def test_criterion_8_determinism_and_round_trip(capsys, tmp_path):
     assert cli_main(["synth", "-q", "--out", str(test), "--n-healthy", "10",
                      "--n-diseased", "10", "--mode", "accelerated_aging",
                      "--n-features", "4", "--seed", "32"]) == 0
-    fit_args = ["--restarts", "2", "--folds", "3", "--seed", "7", "--center-ages"]
+    fit_args = ["--restarts", "2", "--folds", "3", "--seed", "7"]
     model_a, model_b = tmp_path / "a.normgp", tmp_path / "b.normgp"
     assert cli_main(["fit", "-q", str(train), "--out", str(model_a), *fit_args]) == 0
     assert cli_main(["fit", "-q", str(train), "--out", str(model_b), *fit_args]) == 0
@@ -380,7 +380,7 @@ def test_criterion_8_determinism_and_round_trip(capsys, tmp_path):
 
     # save/load round trip preserves scores
     cohort = generate_cohort(SynthConfig(n_healthy=20, n_features=3, seed=33))
-    fitted = fit(cohort.features, cohort.age, FitConfig(restarts=1, seed=1, center_ages=True))
+    fitted = fit(cohort.features, cohort.age, FitConfig(restarts=1, seed=1))
     age_params = AgeKernelParams(age_length_scale=15.0)
     before = score_cohort(fitted, cohort, age_params)
     path = tmp_path / "roundtrip.normgp"

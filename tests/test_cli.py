@@ -46,7 +46,6 @@ def _fit(tmp_path, train, name="model.normgp", extra=()):
         "1",
         "--folds",
         "3",
-        "--center-ages",
         *extra,
     ]
     assert main(argv) == 0
@@ -183,7 +182,7 @@ def test_fit_runs_one_optimizer_per_restart_and_per_fold(tmp_path, monkeypatch, 
     minimize = optimize.minimize
     monkeypatch.setattr(optimize, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k))
     train = _synth(tmp_path)
-    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--center-ages", "--standardize",
+    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--standardize",
             "--restarts", str(restarts), "--folds", str(folds), "-q"]
     assert main(argv) == 0
     assert len(calls) == restarts + folds
@@ -250,7 +249,7 @@ def test_fit_report_has_exactly_these_keys(tmp_path):
     assert report["warnings"] == []
     assert set(report["config"]) == {
         "train_csv", "out", "report", "kernel", "pca", "standardize",
-        "restarts", "folds", "seed", "center_ages",
+        "restarts", "folds", "seed",
     }
     assert set(report["quality"]) == {"mae", "r2", "folds", "protocol", "per_fold"}
     assert [set(fold) for fold in report["quality"]["per_fold"]] == [{
@@ -260,19 +259,39 @@ def test_fit_report_has_exactly_these_keys(tmp_path):
 
 
 def test_fit_warns_when_the_model_explains_nothing(tmp_path, capsys):
-    # uncentered, the product kernel fits these 30 subjects as pure noise
+    # constant features carry no age signal, so either kernel fits pure noise
+    ages = np.random.default_rng(0).uniform(20.0, 80.0, 30)
+    train = tmp_path / "train.csv"
+    ids = tuple(f"s{i}" for i in range(30))
+    save_cohort(Cohort(ids, np.ones((30, 3)), ("a", "b", "c"), ages), train)
+    for form in ("sum", "product"):
+        argv = ["fit", str(train), "--out", str(tmp_path / form), "--kernel", form,
+                "--restarts", "1", "--folds", "3", "-q"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        report = json.loads((tmp_path / f"{form}.report.json").read_text())
+        assert report["quality"]["r2"] <= 0.0
+        assert report["model"]["noise_variance"] >= np.var(load_cohort(train).age)
+        assert len(report["warnings"]) == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"warning: {text}" for text in report["warnings"]]
+
+
+def test_center_ages_option_is_hidden_and_inert(tmp_path, capsys):
+    # kept only so older command lines still parse; ages are always centred
     train = _synth(tmp_path)
+    plain = _fit(tmp_path, train, name="plain")
+    flagged = _fit(tmp_path, train, name="flagged", extra=("--center-ages",))
+    assert plain.read_bytes() == flagged.read_bytes()
+    reports = [json.loads(tmp_path.joinpath(f"{name}.report.json").read_text())
+               for name in ("plain", "flagged")]
+    for report in reports:
+        del report["config"]["out"], report["config"]["report"]
+    assert reports[0] == reports[1]
     capsys.readouterr()
-    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--kernel", "product",
-            "--restarts", "1", "--folds", "3", "-q"]
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    report = json.loads((tmp_path / "m.report.json").read_text())
-    assert report["quality"]["r2"] <= 0.0
-    assert report["model"]["noise_variance"] >= np.var(load_cohort(train).age)
-    assert len(report["warnings"]) == 2
-    assert captured.out == ""
-    assert captured.err.splitlines() == [f"warning: {text}" for text in report["warnings"]]
+    assert main(["fit", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--seed" in usage and "--center-ages" not in usage
 
 
 def test_fit_has_no_iteration_cap_option(tmp_path, capsys):
@@ -359,8 +378,8 @@ def test_option_defaults_come_from_the_library():
     parser = _build_parser()
     fit_args = parser.parse_args(["fit", "train.csv", "--out", "model"])
     config = FitConfig()
-    assert (fit_args.kernel, fit_args.restarts, fit_args.seed, fit_args.center_ages) == (
-        config.form, config.restarts, config.seed, config.center_ages
+    assert (fit_args.kernel, fit_args.restarts, fit_args.seed) == (
+        config.form, config.restarts, config.seed
     )
     sweep_args = parser.parse_args(["sweep", "model", "test.csv", "--out", "sweep.csv"])
     assert _parse_grid(sweep_args.ly_grid) == DEFAULT_LY_GRID

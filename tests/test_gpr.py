@@ -196,7 +196,7 @@ def test_gradient_near_zero_at_optimizer_solution():
     x = rng.uniform(-2, 2, size=(20, 1))
     y = 1.5 * x[:, 0] + rng.normal(0, 0.05, 20)
     model = fit(x, y, FitConfig(restarts=3, seed=0))
-    grad = _analytic_gradient(model.params, model.form, x, y)
+    grad = _analytic_gradient(model.params, model.form, x, y - model.y_offset)
     assert np.linalg.norm(grad) <= 1e-5
 
 
@@ -214,7 +214,7 @@ def test_fit_noiseless_linear_data():
 def test_duplicate_rows_with_conflicting_ages_force_noise():
     x = np.array([[0.5, 1.0], [0.5, 1.0], [1.5, -1.0], [1.5, -1.0]])
     y = np.array([40.0, 60.0, 30.0, 50.0])
-    model = fit(x, y, FitConfig(restarts=4, seed=2, center_ages=True))
+    model = fit(x, y, FitConfig(restarts=4, seed=2))
     assert model.params.noise_variance > 1e-3
     # likelihood at a near-zero noise level must be worse than the optimum
     squeezed = KernelParams(
@@ -279,7 +279,7 @@ def test_fit_from_its_own_optimum_runs_once_and_stays_there(monkeypatch):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(25, 2))
     y = 10.0 * np.sin(x[:, 0]) + rng.normal(0, 0.5, 25) + 50.0
-    config = FitConfig(restarts=3, seed=5, center_ages=True)
+    config = FitConfig(restarts=3, seed=5)
     cold = fit(x, y, config)
     runs = []
     minimize = optimize.minimize
@@ -318,7 +318,7 @@ def test_fit_config_holds_only_the_settings_callers_set():
     # cap are fixed constants, and a model at given hyperparameters comes
     # from restore
     assert [field.name for field in dataclasses.fields(FitConfig)] == [
-        "form", "restarts", "seed", "center_ages",
+        "form", "restarts", "seed",
     ]
 
 
@@ -338,19 +338,15 @@ def test_restore_keeps_the_given_hyperparameters():
         restore(x, y, KernelParams(length_scales=np.ones(3)), SUM)
 
 
-def test_center_ages_moves_far_field_prediction_to_mean():
+@pytest.mark.parametrize("form", FORMS)
+def test_fit_centres_ages_so_far_field_prediction_is_their_mean(form):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(15, 2))
     y = rng.uniform(40, 60, 15)
-    assert fit(x, y, FitConfig(restarts=1, center_ages=True)).y_offset == float(y.mean())
-    assert fit(x, y, FitConfig(restarts=1)).y_offset == 0.0
-    params = KernelParams(length_scales=np.ones(2), noise_variance=0.1)
-    centered = restore(x, y, params, SUM, y_offset=float(y.mean()))
+    model = fit(x, y, FitConfig(form=form, restarts=1))
+    assert model.y_offset == float(np.mean(y))
     far = np.full((1, 2), 60.0)  # far outside the training cloud
-    assert predict(centered, far).y_hat[0] == pytest.approx(float(y.mean()), abs=1e-6)
-    plain = restore(x, y, params, SUM)
-    assert plain.y_offset == 0.0
-    assert predict(plain, far).y_hat[0] == pytest.approx(0.0, abs=1e-6)
+    assert predict(model, far).y_hat[0] == pytest.approx(float(np.mean(y)), abs=1e-6)
 
 
 def test_predict_interpolates_training_point_without_noise():

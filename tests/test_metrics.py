@@ -207,7 +207,7 @@ def test_cross_validated_quality_constant_predictor_has_nonpositive_r2(monkeypat
     y = rng.uniform(20, 80, 30)
     frozen = KernelParams(length_scales=np.full(2, 1e6), noise_variance=1.0)
     _fit_at(monkeypatch, frozen)
-    report = cross_validated_quality(x, y, split_folds(x, 5, 0), FitConfig(center_ages=True), frozen)
+    report = cross_validated_quality(x, y, split_folds(x, 5, 0), FitConfig(), frozen)
     assert report["r2"] <= 0.05
 
 
@@ -217,7 +217,7 @@ def test_cross_validated_quality_leave_one_out(monkeypatch):
     x = np.column_stack([y + rng.normal(0, 0.5, 9)])
     params = KernelParams(length_scales=np.array([20.0]), noise_variance=0.5)
     _fit_at(monkeypatch, params)
-    report = cross_validated_quality(x, y, split_folds(x, 9, 0), FitConfig(center_ages=True), params)
+    report = cross_validated_quality(x, y, split_folds(x, 9, 0), FitConfig(), params)
     assert report["folds"] == 9
     assert len(report["per_fold"]) == 9
     assert math.isfinite(report["mae"])
@@ -272,7 +272,7 @@ def test_cross_validated_quality_deterministic():
     rng = np.random.default_rng(7)
     y = rng.uniform(20, 80, 16)
     x = np.column_stack([y + rng.normal(0, 1, 16), rng.normal(size=16)])
-    config = FitConfig(restarts=1, seed=11, center_ages=True)
+    config = FitConfig(restarts=1, seed=11)
     a = _cv(x, y, 4, config)
     b = _cv(x, y, 4, config)
     assert a["mae"] == b["mae"] and a["r2"] == b["r2"]
@@ -308,7 +308,7 @@ def test_held_out_rows_do_not_reach_their_folds_preprocessing_or_model(monkeypat
     rng = np.random.default_rng(8)
     y = rng.uniform(20, 80, 40)
     x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 40), rng.normal(5.0, 2.0, (40, 4))])
-    config = FitConfig(restarts=1, seed=3, center_ages=True)
+    config = FitConfig(restarts=1, seed=3)
     dims = chain.get("n_components", 5)
     start = KernelParams(length_scales=np.full(dims, 2.0), noise_variance=10.0)
     folds = 4
@@ -336,7 +336,7 @@ def test_each_fold_fits_once_from_the_given_start(monkeypatch):
     x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 30), rng.normal(size=30)])
     start = KernelParams(length_scales=np.array([1.5, 3.0]), noise_variance=5.0)
     fits = _record_fits(monkeypatch)
-    cross_validated_quality(x, y, split_folds(x, 3, 0), FitConfig(restarts=4, center_ages=True), start)
+    cross_validated_quality(x, y, split_folds(x, 3, 0), FitConfig(restarts=4), start)
     assert len(fits) == 3
     for fitted in fits:
         assert fitted["start"] is start
@@ -349,7 +349,7 @@ def test_warm_started_folds_end_no_lower_than_their_start(monkeypatch):
     # the full-data optimum and can stop below a higher peak elsewhere. The
     # report shows how far each fold climbed from its start.
     cohort = generate_cohort(SynthConfig(n_healthy=80, n_features=4, seed=12))
-    config = FitConfig(restarts=5, seed=0, center_ages=True)
+    config = FitConfig(restarts=5, seed=0)
     fits = _record_fits(monkeypatch)
     report = _cv(cohort.features, cohort.age, 4, config, standardize=True)
     assert len(fits) == 4
@@ -368,7 +368,7 @@ def test_warm_started_cv_predicts_about_as_well_as_cold_started_cv(seed):
     # but its pooled out-of-fold MAE stays within 10% of the cold search's.
     cohort = generate_cohort(SynthConfig(n_healthy=80, n_features=4, seed=seed))
     x, y = cohort.features, cohort.age
-    config = FitConfig(center_ages=True, seed=0)
+    config = FitConfig(seed=0)
     warm = _cv(x, y, 5, config)
     cold = np.empty_like(y)
     for fold in split_folds(x, 5, config.seed):

@@ -155,7 +155,7 @@ def test_config_validation():
 def test_healthy_cohort_supports_an_accurate_age_regression():
     # the core promise: a GP trained on healthy subjects predicts age well
     cohort = generate_cohort(SynthConfig(n_healthy=100, n_features=8, seed=5))
-    config = FitConfig(restarts=2, seed=5, center_ages=True)
+    config = FitConfig(restarts=2, seed=5)
     full = fit(cohort.features, cohort.age, config)
     split = split_folds(cohort.features, 5, config.seed)
     report = cross_validated_quality(cohort.features, cohort.age, split, config, full.params)

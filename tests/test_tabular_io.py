@@ -653,7 +653,7 @@ def test_model_rebuilt_from_its_file_is_the_fitted_model(tmp_path, case):
         model = restore(x, y, params, SUM, y_offset=float(y.mean()))
         assert model.jitter > 0.0
     else:
-        model = fit(x, y, FitConfig(form=case, restarts=3, seed=2, center_ages=True))
+        model = fit(x, y, FitConfig(form=case, restarts=3, seed=2))
     path = tmp_path / "model.gp"
     save_model(artifact_from_fit(model, ("a", "b", "c"), seed=2), path)
     rebuilt = to_trained_model(load_model(path))
@@ -663,6 +663,23 @@ def test_model_rebuilt_from_its_file_is_the_fitted_model(tmp_path, case):
     assert rebuilt.log_marginal_likelihood == model.log_marginal_likelihood
     assert rebuilt.restart_log_marginals == model.restart_log_marginals
     assert rebuilt.chosen_restart == model.chosen_restart
+
+
+def test_uncentred_model_file_scores_as_before(tmp_path):
+    # a file written before ages were always centred stores y_offset 0,
+    # and it still scores exactly like the model it was written from
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(12, 3))
+    y = rng.uniform(20, 80, 12)
+    params = KernelParams(length_scales=np.array([0.7, 1.3, 0.9]), noise_variance=0.3)
+    path = tmp_path / "model.gp"
+    save_model(artifact_from_fit(restore(x, y, params, SUM), ("a", "b", "c")), path)
+    assert "\ny_offset 0\n" in path.read_text()
+    x_test = rng.normal(size=(5, 3))
+    loaded = predict(to_trained_model(load_model(path)), x_test)
+    expected = predict(restore(x, y, params, SUM, y_offset=0.0), x_test)
+    assert np.array_equal(loaded.y_hat, expected.y_hat)
+    assert np.array_equal(loaded.variance, expected.variance)
 
 
 def test_artifact_dimension_validation():
