@@ -2,13 +2,17 @@
 
 Training maximizes the log marginal likelihood with analytic gradients,
 using multi-start L-BFGS-B in log-parameter space. The training rows' pair
-distances are built once per fit; the gradient's K^-1 comes from the
-Cholesky factor through LAPACK ``dpotri``. Inference goes through
-a cached Cholesky factorization of the training Gram matrix — never an
-explicit inverse. The age-weighted posterior variance reweights the
-unweighted feature Gram blocks by an age factor, reusing the fitted
-hyperparameters, and forms only the variance diagonal, one row block of
-test rows at a time.
+distances and one Fortran-ordered m x m Gram buffer are built once per fit;
+each evaluation fills that buffer, factorizes it in place and turns the
+factor into the gradient's K^-1 in place with LAPACK ``dpotri``. Every
+factorization goes through ``stable_cholesky``, which runs LAPACK
+``dpotrf`` in place on a Fortran buffer: the fit's buffer, the transpose
+of ``restore``'s freshly built Gram, and the transpose of the weighted
+training Gram. Inference goes through a cached Cholesky factorization of
+the training Gram matrix — never an explicit inverse. The age-weighted
+posterior variance reweights the unweighted feature Gram blocks by an age
+factor, reusing the fitted hyperparameters, and forms only the variance
+diagonal, one row block of test rows at a time.
 
 scipy is imported inside the functions that factorize or solve, so a stage
 that never touches a Gram matrix never loads it.
@@ -59,11 +63,24 @@ _MAX_ITERATIONS = 200
 
 
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, escalating diagonal jitter on failure.
+    """Lower Cholesky factor of a symmetric matrix, escalating diagonal jitter on failure.
+
+    A writable, Fortran-ordered float64 ``matrix`` is factorized in place
+    with LAPACK ``dpotrf``; any other input is factorized on a Fortran copy
+    and left unchanged. ``matrix.T`` of a C-ordered symmetric array is such
+    a buffer. The factor follows ``scipy.linalg.cho_factor``: its lower
+    triangle is the factor, and its strict upper triangle keeps the
+    matrix's own entries, so its consumers read the lower triangle only
+    (``solve_triangular(lower=True)``, ``dpotrs``/``dpotri`` with
+    ``lower=1``, the log-diagonal).
 
     The matrix is first factorized unmodified. On failure, jitter starting
     at ``1e-10 * mean(diag)`` is added and escalated tenfold per attempt up
-    to ``1e-4 * mean(diag)``.
+    to ``1e-4 * mean(diag)``. Before each retry the lower triangle is
+    rebuilt from the strict upper one, which a lower ``dpotrf`` never
+    touches, and the diagonal is set to the saved one plus the jitter, so
+    each attempt factorizes exactly ``matrix + jitter * I``. After a
+    ``ConditioningError`` the buffer's lower triangle is unspecified.
 
     Returns
     -------
@@ -75,31 +92,37 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     ConditioningError
         When every attempt fails; carries the attempted jitter ladder.
     """
-    from scipy.linalg import cholesky
+    from scipy.linalg.lapack import dpotrf
 
     k = np.asarray(matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("matrix must be square")
+    if not (k.flags.f_contiguous and k.flags.writeable):
+        k = np.array(k, order="F")
     attempted: list[float] = []
-    if not np.all(np.isfinite(k)):
+    # min and max propagate nan and +-inf without an m x m boolean temporary
+    if k.size and not (math.isfinite(k.min()) and math.isfinite(k.max())):
         raise ConditioningError("matrix has non-finite entries", attempted)
-    scale = float(np.mean(np.diagonal(k)))
+    diagonal = k.diagonal().copy()
+    scale = float(np.mean(diagonal))
     if not scale > 0.0:
         scale = 1.0
     jitter = 0.0
     while True:
-        try:
-            shifted = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
-            return cholesky(shifted, lower=True, check_finite=False), jitter
-        except np.linalg.LinAlgError:
-            attempted.append(jitter)
-            jitter = _INITIAL_JITTER_FACTOR * scale if jitter == 0.0 else 10.0 * jitter
-            if jitter > _MAX_JITTER_FACTOR * scale * (1.0 + 1e-9):
-                raise ConditioningError(
-                    f"Cholesky failed for a {k.shape[0]}x{k.shape[0]} matrix even "
-                    f"after escalating jitter to {attempted[-1]:.3e}",
-                    attempted,
-                ) from None
+        chol, info = dpotrf(k, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return chol, jitter
+        attempted.append(jitter)
+        jitter = _INITIAL_JITTER_FACTOR * scale if jitter == 0.0 else 10.0 * jitter
+        if jitter > _MAX_JITTER_FACTOR * scale * (1.0 + 1e-9):
+            raise ConditioningError(
+                f"Cholesky failed for a {k.shape[0]}x{k.shape[0]} matrix even "
+                f"after escalating jitter to {attempted[-1]:.3e}",
+                attempted,
+            )
+        for col in range(k.shape[0] - 1):
+            k[col + 1:, col] = k[col, col + 1:]
+        np.fill_diagonal(k, diagonal + jitter)
 
 
 @dataclass(frozen=True)
@@ -125,8 +148,11 @@ class FitConfig:
 class TrainedModel:
     """A fitted GP: training data, hyperparameters, cached factorization.
 
-    ``alpha`` solves ``(K + jitter*I) alpha = y - y_offset``; ``chol`` is the
-    lower Cholesky factor of the same matrix. ``y`` keeps the chronological
+    ``alpha`` solves ``(K + jitter*I) alpha = y - y_offset``. ``chol`` holds
+    the lower Cholesky factor of the same matrix in its lower triangle, and
+    the matrix's own entries (``K``, without jitter) in its strict upper
+    triangle, as ``stable_cholesky`` leaves it; read it as a lower factor
+    (``np.tril(chol)`` is the factor itself). ``y`` keeps the chronological
     training ages, which the age-weighted kernel needs.
     """
 
@@ -233,14 +259,19 @@ def _lml_and_gradient(
     alpha = cho_solve((chol, True), y, check_finite=False)
     value = _lml_value(chol, alpha, y)
 
-    # K^-1 from the factor (GPML eq. 5.9); dpotri fills its lower triangle only.
+    # K^-1 from the factor (GPML eq. 5.9); dpotri overwrites the lower
+    # triangle only, in place.
     k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
     # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
     # so the two triangles' halves add up to one sum over the lower pairs.
-    weights = alpha[distances.rows] * alpha[distances.cols]
-    weights -= k_inv[distances.rows, distances.cols]
+    # alpha alpha' is symmetric, so its C-order ravel serves the Fortran
+    # positions of the lower pairs; it is freed before the second gather.
+    outer = np.outer(alpha, alpha)
+    weights = np.take(outer.ravel(), distances.lower)
+    del outer
+    weights -= np.take(k_inv.ravel(order="F"), distances.lower)
     grad = np.empty(n_features + 1)
     grad[:n_features] = distances.gradient(weights, params)
     grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
@@ -375,7 +406,9 @@ def restore(
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
     centered = y - y_offset
-    chol, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    # The Gram is bitwise symmetric, so its transpose is the Fortran buffer
+    # that stable_cholesky factorizes in place.
+    chol, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True).T)
     alpha = cho_solve((chol, True), centered, check_finite=False)
     value = _lml_value(chol, alpha, centered)
     return TrainedModel(
@@ -519,13 +552,16 @@ def weighted_posterior_cov(
     if unweighted and age_params.age_noise_variance == 0.0:
         chol, jitter = model.chol, model.jitter
     else:
-        k_train = grams.train if grams is not None else None
-        if k_train is None:
-            k_train = gram_matrix(model.x, model.x, model.params, model.form)
-        factor = age_factor(model.y, model.y, age_params)
-        k_train = np.multiply(factor, k_train, out=factor)
-        np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
-        chol, jitter = stable_cholesky(k_train)
+        if grams is None or grams.train is None:
+            k_train = gram_matrix(model.x, model.x, model.params, model.form,
+                                  age_params=age_params, ages_a=model.y, ages_b=model.y,
+                                  same_set=True)
+        else:
+            k_train = age_factor(model.y, model.y, age_params)
+            k_train *= grams.train
+            np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
+        # bitwise symmetric, so the transpose is factorized in place
+        chol, jitter = stable_cholesky(k_train.T)
         if jitter:
             message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)

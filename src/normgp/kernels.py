@@ -220,33 +220,43 @@ class PairDistances:
 
     They do not depend on the hyperparameters, so a fit builds them once and
     every evaluation of its optimizer restarts reuses them, together with
-    the pair buffers of ``form``'s kernel that this object owns. A same-set
-    Gram matrix needs only its strict lower triangle and known diagonal,
-    which halves storage and kernel work.
+    the pair buffers of ``form``'s kernel and the Fortran-ordered m x m Gram
+    buffer that this object owns. The kernel is computed on the strict lower
+    pairs only, which halves kernel work; ``lower`` and ``upper`` are each
+    pair's flat positions in the Fortran-ordered buffer, below and above
+    the diagonal.
     """
 
     def __init__(self, x: np.ndarray, form: str):
         _check_form(form)
         self.form = form
         self.n_rows, n_features = x.shape
-        self.rows, self.cols = np.tril_indices(self.n_rows, -1)
-        self.squared = np.empty((n_features, self.rows.size))
+        rows, cols = np.tril_indices(self.n_rows, -1)
+        self.squared = np.empty((n_features, rows.size))
         for dim, out in enumerate(self.squared):
-            np.subtract(x[self.rows, dim], x[self.cols, dim], out=out)
+            np.subtract(x[rows, dim], x[cols, dim], out=out)
             np.multiply(out, out, out=out)
+        self.lower = cols * self.n_rows + rows
+        self.upper = rows * self.n_rows + cols
         # The pair kernel, and each feature's term for the sum form.
-        self._kernel = np.empty(self.rows.size)
+        self._kernel = np.empty(self.lower.size)
         self._terms = (
-            np.empty(self.squared.shape) if form == SUM else repeat(np.empty(self.rows.size))
+            np.empty(self.squared.shape) if form == SUM else repeat(np.empty(self.lower.size))
         )
+        self._gram = np.empty((self.n_rows, self.n_rows), order="F")
 
     def gram(self, params: KernelParams) -> np.ndarray:
-        """Same-set Gram matrix, zero above the diagonal: a lower Cholesky reads no more."""
+        """The same-set Gram matrix, both triangles, in the owned Fortran buffer.
+
+        Each call overwrites the buffer that the last one returned, so a
+        caller may factorize it in place.
+        """
         _feature_kernel(self.form, self.squared, params.length_scales, self._kernel, self._terms)
-        k = np.zeros((self.n_rows, self.n_rows))
-        k[self.rows, self.cols] = self._kernel
-        np.fill_diagonal(k, prior_variance(params, self.form))
-        return k
+        flat = self._gram.ravel(order="F")
+        flat[self.lower] = self._kernel
+        flat[self.upper] = self._kernel
+        flat[:: self.n_rows + 1] = prior_variance(params, self.form)
+        return self._gram
 
     def gradient(self, weights, params: KernelParams):
         """``sum_p weights[p] * dk_p / dlog l_k`` for each length scale ``l_k``.

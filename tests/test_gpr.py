@@ -163,6 +163,49 @@ def test_shared_distances_evaluation_matches_public_functions_when_jittered(form
     assert grad[-1] == 0.0
 
 
+@pytest.mark.parametrize("form", [SUM, PRODUCT])
+def test_reused_distances_after_a_jittered_point_match_fresh_ones_bitwise(form):
+    # each evaluation factorizes the Gram buffer in place; neither the
+    # jitter of one point nor the factor's overwritten triangle may reach
+    # the next evaluation on the same buffer
+    rng = np.random.default_rng(27)
+    base = rng.normal(size=(12, 3))
+    x = np.vstack([base, base[:5]])
+    y = rng.uniform(20, 80, 17) - 50.0
+    params = KernelParams(length_scales=np.array([0.9, 1.2, 0.7]), noise_variance=0.0)
+    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    assert jitter > 0.0
+    with np.errstate(divide="ignore"):
+        jittered = np.log(np.append(params.length_scales, 0.0))
+    clean = np.log(np.array([1.1, 0.8, 1.3, 0.25]))
+    distances = PairDistances(x, form)
+    for theta in (clean, jittered, clean, jittered):
+        value, grad = _lml_and_gradient(theta, distances, y)
+        fresh_value, fresh_grad = _lml_and_gradient(theta, PairDistances(x, form), y)
+        assert value == fresh_value
+        assert np.array_equal(grad, fresh_grad)
+
+
+def test_evaluation_on_reused_distances_allocates_under_two_gram_blocks():
+    # the Gram buffer is filled, factorized and inverted in place; alpha
+    # alpha' (one block) is freed before K^-1's pairs are gathered
+    rng = np.random.default_rng(28)
+    m = 600
+    x = rng.normal(size=(m, 4))
+    y = rng.normal(size=m)
+    theta = np.log(np.array([1.0, 1.5, 0.8, 2.0, 0.3]))
+    for form in FORMS:
+        distances = PairDistances(x, form)
+        _lml_and_gradient(theta, distances, y)
+        tracemalloc.start()
+        try:
+            _lml_and_gradient(theta, distances, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * m * m * 8
+
+
 def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
     # a factor with a zero pivot cannot be inverted: dpotri reports it, and
     # the optimizer's objective treats ConditioningError as a failed point
@@ -648,20 +691,103 @@ def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
     assert peak < 0.2 * n * m * 8
 
 
+def test_restore_allocates_one_gram_block_and_a_row_block():
+    # the Gram is factorized in place, so past it only the Gram fill's row
+    # block of scratch and O(m) vectors are alive
+    rng = np.random.default_rng(32)
+    m, d = 1500, 3
+    x = rng.normal(size=(m, d))
+    y = rng.uniform(20, 80, m)
+    params = KernelParams(np.ones(d), 0.5)
+    tracemalloc.start()
+    try:
+        restore(x, y, params, SUM, y_offset=50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 + kernels._BLOCK_ENTRIES * 8 + 32 * m * 8
+
+
+def test_weighted_variance_at_finite_ly_adds_one_training_block():
+    # with prebuilt feature blocks the weighted training Gram is the only
+    # m x m array made: the age factor, multiplied and factorized in place
+    rng = np.random.default_rng(33)
+    m, d, n = 1500, 3, 1000
+    x = rng.normal(size=(m, d))
+    model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(d), 0.5), SUM)
+    x_test = rng.normal(size=(n, d))
+    ages = rng.uniform(20, 80, n)
+    grams = feature_grams(model, x_test)
+    tracemalloc.start()
+    try:
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), grams=grams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 + 2 * kernels._BLOCK_ENTRIES * 8 + 8 * (m + n) * 8
+
+
+def _strict_upper(matrix):
+    return matrix[np.triu_indices(matrix.shape[0], 1)]
+
+
 def test_stable_cholesky_clean_matrix_needs_no_jitter():
     rng = np.random.default_rng(20)
     a = rng.normal(size=(6, 6))
     matrix = a @ a.T + 6 * np.eye(6)
     chol, jitter = stable_cholesky(matrix)
     assert jitter == 0.0
-    assert np.allclose(chol @ chol.T, matrix, atol=1e-10)
+    factor = np.tril(chol)
+    assert np.allclose(factor @ factor.T, matrix, atol=1e-10)
+    assert np.array_equal(_strict_upper(chol), _strict_upper(matrix))
 
 
 def test_stable_cholesky_escalates_jitter_for_singular_input():
-    matrix = np.ones((4, 4))  # rank one, positive semidefinite
+    a = np.random.default_rng(23).normal(size=(4, 1))
+    for matrix in (np.ones((4, 4)), a @ a.T):  # rank one, positive semidefinite
+        chol, jitter = stable_cholesky(matrix)
+        assert jitter > 0.0
+        factor = np.tril(chol)
+        assert np.allclose(factor @ factor.T, matrix + jitter * np.eye(4), atol=1e-8)
+        assert np.array_equal(_strict_upper(chol), _strict_upper(matrix))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "c"])
+def test_stable_cholesky_jittered_factor_is_scipy_cholesky_of_the_shifted_matrix(layout):
+    # duplicate rows at zero noise: the first attempts fail part-way, after
+    # dpotrf has overwritten leading columns, so the retry must rebuild the
+    # lower triangle and diagonal exactly
+    from scipy.linalg import cholesky
+
+    rng = np.random.default_rng(25)
+    base = rng.normal(size=(30, 3))
+    x = np.vstack([base, base[:10]])
+    params = KernelParams(length_scales=np.array([0.6, 1.4, 0.9]), noise_variance=0.0)
+    gram = gram_matrix(x, x, params, SUM, same_set=True)
+    matrix = gram.copy().T if layout == "fortran" else gram.copy()
     chol, jitter = stable_cholesky(matrix)
     assert jitter > 0.0
-    assert np.allclose(chol @ chol.T, matrix + jitter * np.eye(4), atol=1e-8)
+    expected = cholesky(gram + jitter * np.eye(x.shape[0]), lower=True)
+    assert np.array_equal(np.tril(chol), expected)
+    assert np.array_equal(_strict_upper(chol), _strict_upper(gram))
+    if layout == "fortran":
+        assert np.shares_memory(chol, matrix)  # factorized in place
+    else:
+        assert np.array_equal(matrix, gram)
+
+
+@pytest.mark.parametrize("case", ["c_order", "read_only", "fortran_read_only"])
+def test_stable_cholesky_leaves_other_input_unchanged(case):
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(7, 7))
+    matrix = a @ a.T + np.eye(7)
+    given = np.asfortranarray(matrix) if case == "fortran_read_only" else matrix.copy()
+    given.flags.writeable = case == "c_order"
+    chol, jitter = stable_cholesky(given)
+    assert jitter == 0.0
+    assert not np.shares_memory(chol, given)
+    assert np.array_equal(given, matrix)
+    assert np.allclose(np.tril(chol) @ np.tril(chol).T, matrix, atol=1e-10)
 
 
 def test_stable_cholesky_reports_attempted_ladder():
@@ -704,8 +830,10 @@ def test_restore_reconstruction_invariants():
     from normgp.kernels import gram_matrix
 
     gram = gram_matrix(x, x, params, form, same_set=True)
-    rebuilt = model.chol @ model.chol.T
+    factor = np.tril(model.chol)
+    rebuilt = factor @ factor.T
     assert np.allclose(rebuilt, gram + model.jitter * np.eye(len(y)), rtol=1e-8)
+    assert np.array_equal(_strict_upper(model.chol), _strict_upper(gram))
     residual = (gram + model.jitter * np.eye(len(y))) @ model.alpha - (y - model.y_offset)
     assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
     assert isinstance(model, TrainedModel)
