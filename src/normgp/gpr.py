@@ -1,18 +1,19 @@
 """Exact Gaussian process age regression.
 
 Training maximizes the log marginal likelihood with analytic gradients,
-using multi-start L-BFGS-B in log-parameter space. The training rows' pair
-distances and one Fortran-ordered m x m Gram buffer are built once per fit;
-each evaluation fills that buffer, factorizes it in place and turns the
-factor into the gradient's K^-1 in place with LAPACK ``dpotri``. Every
-factorization goes through ``stable_cholesky``, which runs LAPACK
-``dpotrf`` in place on a Fortran buffer: the fit's buffer, the transpose
-of ``restore``'s freshly built Gram, and the transpose of the weighted
-training Gram. Inference goes through a cached Cholesky factorization of
-the training Gram matrix — never an explicit inverse. The age-weighted
-posterior variance reweights the unweighted feature Gram blocks by an age
-factor, reusing the fitted hyperparameters, and forms only the variance
-diagonal, one row block of test rows at a time.
+using multi-start L-BFGS-B in log-parameter space. A fit builds one
+objective, ``_LmlObjective``, from its training rows: it owns their pair
+distances and one Fortran-ordered m x m Gram buffer, and each evaluation
+fills that buffer through ``kernels._feature_kernel``, factorizes it in
+place and turns the factor into the gradient's K^-1 in place with LAPACK
+``dpotri``. Every factorization goes through ``stable_cholesky``, which
+runs LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
+transpose of ``restore``'s freshly built Gram, and the transpose of the
+weighted training Gram. Inference goes through a cached Cholesky
+factorization of the training Gram matrix — never an explicit inverse. The
+age-weighted posterior variance reweights the unweighted feature Gram
+blocks by an age factor, reusing the fitted hyperparameters, and forms only
+the variance diagonal, one row block of test rows at a time.
 
 scipy is imported inside the functions that factorize or solve, so a stage
 that never touches a Gram matrix never loads it.
@@ -23,16 +24,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConditioningError, NumericalError
 from .kernels import (
-    FORMS,
     SUM,
     AgeKernelParams,
     KernelParams,
-    PairDistances,
+    _check_form,
+    _feature_kernel,
     _row_blocks,
     age_factor,
     gram_matrix,
@@ -138,8 +140,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown kernel form {self.form!r}")
+        _check_form(self.form)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -243,39 +244,76 @@ def _lml_value(chol: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
     return float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
 
 
-def _lml_and_gradient(
-    theta: np.ndarray, distances: PairDistances, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and gradient over (log l_1..log l_K, log noise).
+class _LmlObjective:
+    """Log marginal likelihood and its gradient over (log l_1..log l_K, log noise).
 
-    Raises ConditioningError when the Gram matrix cannot be factorized.
+    Built once per fit from the training rows ``x``, the centred ages ``y``
+    and the kernel form; each call at ``theta`` returns ``(value, gradient)``
+    (GPML Alg. 2.1 and eq. 5.9) and raises ConditioningError when the Gram
+    matrix cannot be factorized. The per-feature squared distances ``S_k``
+    between the rows ``i > j`` do not depend on the hyperparameters, so
+    every evaluation of every restart reuses them, together with the pair
+    buffers of the form's kernel and one Fortran-ordered m x m Gram buffer.
+    The kernel is computed on the strict lower pairs only, which halves
+    kernel work; ``_lower`` and ``_upper`` are each pair's flat positions
+    in the Fortran-ordered buffer, below and above the diagonal.
     """
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import dpotri
 
-    n_features = distances.squared.shape[0]
-    params = _params_from_log(theta, n_features)
-    chol, _ = stable_cholesky(distances.gram(params))
-    alpha = cho_solve((chol, True), y, check_finite=False)
-    value = _lml_value(chol, alpha, y)
+    def __init__(self, x: np.ndarray, y: np.ndarray, form: str):
+        self.form = form
+        self.y = y
+        m, n_features = x.shape
+        rows, cols = np.tril_indices(m, -1)
+        self._squared = np.empty((n_features, rows.size))
+        for dim, out in enumerate(self._squared):
+            np.subtract(x[rows, dim], x[cols, dim], out=out)
+            np.multiply(out, out, out=out)
+        self._lower = cols * m + rows
+        self._upper = rows * m + cols
+        # The pair kernel, and each feature's term for the sum form.
+        self._kernel = np.empty(rows.size)
+        self._terms = np.empty(self._squared.shape) if form == SUM else repeat(np.empty(rows.size))
+        self._gram = np.empty((m, m), order="F")
 
-    # K^-1 from the factor (GPML eq. 5.9); dpotri overwrites the lower
-    # triangle only, in place.
-    k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
-    # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
-    # so the two triangles' halves add up to one sum over the lower pairs.
-    # alpha alpha' is symmetric, so its C-order ravel serves the Fortran
-    # positions of the lower pairs; it is freed before the second gather.
-    outer = np.outer(alpha, alpha)
-    weights = np.take(outer.ravel(), distances.lower)
-    del outer
-    weights -= np.take(k_inv.ravel(order="F"), distances.lower)
-    grad = np.empty(n_features + 1)
-    grad[:n_features] = distances.gradient(weights, params)
-    grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
-    return value, grad
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        from scipy.linalg import cho_solve
+        from scipy.linalg.lapack import dpotri
+
+        n_features, m = self._squared.shape[0], self._gram.shape[0]
+        params = _params_from_log(theta, n_features)
+        # The same-set Gram matrix, both triangles, factorized in place.
+        _feature_kernel(self.form, self._squared, params.length_scales, self._kernel, self._terms)
+        flat = self._gram.ravel(order="F")
+        flat[self._lower] = self._kernel
+        flat[self._upper] = self._kernel
+        flat[:: m + 1] = prior_variance(params, self.form)
+        chol, _ = stable_cholesky(self._gram)
+        alpha = cho_solve((chol, True), self.y, check_finite=False)
+        value = _lml_value(chol, alpha, self.y)
+
+        # K^-1 from the factor (GPML eq. 5.9); dpotri overwrites the lower
+        # triangle only, in place.
+        k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
+        if info != 0:
+            raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
+        # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
+        # so the two triangles' halves add up to one sum over the lower pairs.
+        # alpha alpha' is symmetric, so its C-order ravel serves the Fortran
+        # positions of the lower pairs; it is freed before the second gather.
+        outer = np.outer(alpha, alpha)
+        weights = np.take(outer.ravel(), self._lower)
+        del outer
+        weights -= np.take(k_inv.ravel(order="F"), self._lower)
+        # dk / dlog l_k is S_k / l_k^2 times the feature's exponential (sum
+        # form, overwriting the terms the Gram left) or the whole kernel.
+        if self.form == SUM:
+            sums = np.multiply(self._terms, self._squared, out=self._terms) @ weights
+        else:
+            sums = self._squared @ (weights * self._kernel)
+        grad = np.empty(n_features + 1)
+        grad[:n_features] = sums / (params.length_scales * params.length_scales)
+        grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
+        return value, grad
 
 
 def log_marginal_likelihood(params: KernelParams, form: str, x, y) -> float:
@@ -337,14 +375,14 @@ def fit(
     inits = [np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND) for theta in starts]
 
     bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
-    distances = PairDistances(x, cfg.form)
+    lml = _LmlObjective(x, centered, cfg.form)
     # Imported here: scipy.optimize is slow to load and only training needs it.
     # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
     from scipy import optimize
 
     def objective(theta):
         try:
-            value, grad = _lml_and_gradient(theta, distances, centered)
+            value, grad = lml(theta)
         except ConditioningError:
             return _FAILURE_OBJECTIVE, np.zeros_like(theta)
         return -value, -grad
@@ -364,12 +402,9 @@ def fit(
 
     outcomes = [run_restart(theta0) for theta0 in inits]
 
-    best_index = -1
-    best_value = -math.inf
-    for index, (value, theta) in enumerate(outcomes):
-        if theta is not None and value > best_value:
-            best_index, best_value = index, value
-    if best_index < 0:
+    # failed restarts are -inf, and max keeps the lowest index among ties
+    best_index = max(range(len(outcomes)), key=lambda index: outcomes[index][0])
+    if outcomes[best_index][1] is None:
         raise ConditioningError(
             f"all {len(inits)} restarts failed: the training Gram matrix could "
             "not be factorized at any visited hyperparameters"
@@ -401,8 +436,7 @@ def restore(
     """
     from scipy.linalg import cho_solve
 
-    if form not in FORMS:
-        raise ValueError(f"unknown kernel form {form!r}")
+    _check_form(form)
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
     centered = y - y_offset

@@ -16,6 +16,10 @@ set against itself. An optional age-similarity factor
 turns either kernel into the age-weighted kernel ``k_w = s * k``. An
 infinite age length scale makes ``s`` identically one, recovering the
 unweighted kernel exactly (bitwise, not just approximately).
+
+Each form's formula lives once, in ``_feature_kernel``: ``gram_matrix``
+applies it to row blocks of distances, and the fit's objective in ``gpr``
+applies it to the training rows' pairs.
 """
 
 from __future__ import annotations
@@ -214,60 +218,3 @@ def gram_matrix(
         np.fill_diagonal(k, prior_variance(params, form, age_params))
     return k
 
-
-class PairDistances:
-    """Per-feature squared distances ``S_k`` between the rows ``i > j`` of ``x``.
-
-    They do not depend on the hyperparameters, so a fit builds them once and
-    every evaluation of its optimizer restarts reuses them, together with
-    the pair buffers of ``form``'s kernel and the Fortran-ordered m x m Gram
-    buffer that this object owns. The kernel is computed on the strict lower
-    pairs only, which halves kernel work; ``lower`` and ``upper`` are each
-    pair's flat positions in the Fortran-ordered buffer, below and above
-    the diagonal.
-    """
-
-    def __init__(self, x: np.ndarray, form: str):
-        _check_form(form)
-        self.form = form
-        self.n_rows, n_features = x.shape
-        rows, cols = np.tril_indices(self.n_rows, -1)
-        self.squared = np.empty((n_features, rows.size))
-        for dim, out in enumerate(self.squared):
-            np.subtract(x[rows, dim], x[cols, dim], out=out)
-            np.multiply(out, out, out=out)
-        self.lower = cols * self.n_rows + rows
-        self.upper = rows * self.n_rows + cols
-        # The pair kernel, and each feature's term for the sum form.
-        self._kernel = np.empty(self.lower.size)
-        self._terms = (
-            np.empty(self.squared.shape) if form == SUM else repeat(np.empty(self.lower.size))
-        )
-        self._gram = np.empty((self.n_rows, self.n_rows), order="F")
-
-    def gram(self, params: KernelParams) -> np.ndarray:
-        """The same-set Gram matrix, both triangles, in the owned Fortran buffer.
-
-        Each call overwrites the buffer that the last one returned, so a
-        caller may factorize it in place.
-        """
-        _feature_kernel(self.form, self.squared, params.length_scales, self._kernel, self._terms)
-        flat = self._gram.ravel(order="F")
-        flat[self.lower] = self._kernel
-        flat[self.upper] = self._kernel
-        flat[:: self.n_rows + 1] = prior_variance(params, self.form)
-        return self._gram
-
-    def gradient(self, weights, params: KernelParams):
-        """``sum_p weights[p] * dk_p / dlog l_k`` for each length scale ``l_k``.
-
-        The buffers must be as the last ``gram`` at ``params`` left them;
-        this overwrites the feature terms. ``dk / dlog l_k`` is
-        ``S_k / l_k^2`` times the feature's exponential (sum form) or the
-        whole kernel (product).
-        """
-        if self.form == SUM:
-            sums = np.multiply(self._terms, self.squared, out=self._terms) @ weights
-        else:
-            sums = self.squared @ (weights * self._kernel)
-        return sums / (params.length_scales * params.length_scales)

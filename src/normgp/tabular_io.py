@@ -24,7 +24,7 @@ import numpy as np
 
 from . import gpr
 from .errors import CohortParseError, ModelFormatError, ModelIntegrityError, SchemaError
-from .kernels import FORMS, KernelParams
+from .kernels import KernelParams, _check_form
 from .preprocess import PcaTransform, Standardizer
 
 FORMAT_VERSION = 1
@@ -415,10 +415,13 @@ class ModelArtifact:
         ages = np.asarray(self.training_ages, dtype=float).reshape(-1)
         object.__setattr__(self, "training_features", features)
         object.__setattr__(self, "training_ages", ages)
-        if self.kernel_form not in FORMS:
-            raise ValueError(f"unknown kernel form {self.kernel_form!r}")
+        _check_form(self.kernel_form)
         if features.ndim != 2 or ages.shape[0] != features.shape[0]:
             raise ValueError("training_features and training_ages row counts must match")
+        if features.shape[0] == 0:
+            raise ValueError("the model has no training rows")
+        if not math.isfinite(self.y_offset):
+            raise ValueError(f"y_offset must be finite, not {self.y_offset!r}")
         if self.kernel_params.n_features != features.shape[1]:
             raise ValueError(
                 "kernel_params dimensionality must match the stored training "

@@ -19,7 +19,7 @@ from conftest import naive_posterior, random_age_params, random_instance
 from normgp.cli import main as cli_main
 from normgp.gpr import (
     FitConfig,
-    _lml_and_gradient,
+    _LmlObjective,
     fit,
     log_marginal_likelihood,
     predict,
@@ -31,7 +31,6 @@ from normgp.kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
-    PairDistances,
     gram_matrix,
 )
 from normgp.metrics import score_cohort
@@ -89,7 +88,7 @@ def test_criterion_2_lml_gradient_matches_finite_differences(capsys):
         theta = np.concatenate(
             [np.log(params.length_scales), [math.log(params.noise_variance)]]
         )
-        _, analytic = _lml_and_gradient(theta, PairDistances(x, form), y)
+        _, analytic = _LmlObjective(x, y, form)(theta)
         for i in range(theta.shape[0]):
             hi_t, lo_t = theta.copy(), theta.copy()
             hi_t[i] += step

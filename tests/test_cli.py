@@ -406,6 +406,34 @@ def test_truncated_model_file_fails_with_schema_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda text: text.split("training_features ")[0] + "training_features 0 4\n"
+         + "training_ages 0\n\n" + "log_marginal" + text.split("\nlog_marginal", 1)[1],
+         "no training rows"),
+        (lambda text: "\n".join("y_offset nan" if line.startswith("y_offset ") else line
+                                for line in text.split("\n")),
+         "y_offset must be finite"),
+    ],
+    ids=["no-training-rows", "non-finite-y-offset"],
+)
+def test_degenerate_model_file_fails_score_and_sweep_with_schema_exit(
+    tmp_path, capsys, edit, reason
+):
+    train = _synth(tmp_path)
+    model = _fit(tmp_path, train)
+    bad = tmp_path / "bad.normgp"
+    bad.write_text(edit(model.read_text()))
+    capsys.readouterr()
+    for stage in ("score", "sweep"):
+        out = tmp_path / f"{stage}.csv"
+        assert main([stage, str(bad), str(train), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and reason in err
+        assert not out.exists()
+
+
 def test_missing_input_file_gives_io_exit(tmp_path, capsys):
     code = main(
         ["score", str(tmp_path / "nope.model"), str(tmp_path / "nope.csv"), "--out", str(tmp_path / "s.csv")]

@@ -20,7 +20,7 @@ from normgp.errors import ConditioningError, NumericalError
 from normgp.gpr import (
     FitConfig,
     TrainedModel,
-    _lml_and_gradient,
+    _LmlObjective,
     _posterior_variance,
     feature_grams,
     fit,
@@ -36,7 +36,6 @@ from normgp.kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
-    PairDistances,
     gram_matrix,
 )
 
@@ -92,7 +91,7 @@ def _fd_gradient(params, form, x, y, step=1e-5):
 def _analytic_gradient(params, form, x, y):
     """The optimizer's gradient, evaluated at ``params``."""
     theta = np.log(np.append(params.length_scales, params.noise_variance))
-    return _lml_and_gradient(theta, PairDistances(x, form), y)[1]
+    return _LmlObjective(x, y, form)(theta)[1]
 
 
 def test_gradient_matches_finite_differences_8x3():
@@ -125,20 +124,20 @@ def _dense_gradient(params, form, x, y):
 
 @pytest.mark.parametrize("form", [SUM, PRODUCT])
 def test_shared_distances_evaluation_matches_public_lml_and_gradient(form):
-    # one PairDistances and its buffers serve a sequence of evaluations, as
-    # in a fit's optimizer restarts; buffer reuse must not leak between them
+    # one objective and its buffers serve a sequence of evaluations, as in
+    # a fit's optimizer restarts; buffer reuse must not leak between them
     rng = np.random.default_rng(21)
     x = rng.normal(size=(14, 4))
     y = rng.uniform(20, 80, 14) - 50.0
-    distances = PairDistances(x, form)
+    objective = _LmlObjective(x, y, form)
     for _ in range(4):
         params = KernelParams(
             length_scales=rng.uniform(0.3, 3.0, 4), noise_variance=float(rng.uniform(0.05, 2))
         )
         theta = np.log(np.append(params.length_scales, params.noise_variance))
-        value, grad = _lml_and_gradient(theta, distances, y)
-        assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
-        _, fresh = _lml_and_gradient(theta, PairDistances(x, form), y)
+        value, grad = objective(theta)
+        assert value == log_marginal_likelihood(params, form, x, y)
+        _, fresh = _LmlObjective(x, y, form)(theta)
         assert np.array_equal(grad, fresh)
         dense = _dense_gradient(params, form, x, y)
         assert np.allclose(grad, dense, rtol=1e-8, atol=1e-8 * np.abs(dense).max())
@@ -157,8 +156,8 @@ def test_shared_distances_evaluation_matches_public_functions_when_jittered(form
     assert jitter > 0.0
     with np.errstate(divide="ignore"):
         theta = np.log(np.append(params.length_scales, 0.0))
-    value, grad = _lml_and_gradient(theta, PairDistances(x, form), y)
-    assert value == pytest.approx(log_marginal_likelihood(params, form, x, y), rel=1e-12)
+    value, grad = _LmlObjective(x, y, form)(theta)
+    assert value == log_marginal_likelihood(params, form, x, y)
     assert np.all(np.isfinite(grad))
     assert grad[-1] == 0.0
 
@@ -178,10 +177,10 @@ def test_reused_distances_after_a_jittered_point_match_fresh_ones_bitwise(form):
     with np.errstate(divide="ignore"):
         jittered = np.log(np.append(params.length_scales, 0.0))
     clean = np.log(np.array([1.1, 0.8, 1.3, 0.25]))
-    distances = PairDistances(x, form)
+    objective = _LmlObjective(x, y, form)
     for theta in (clean, jittered, clean, jittered):
-        value, grad = _lml_and_gradient(theta, distances, y)
-        fresh_value, fresh_grad = _lml_and_gradient(theta, PairDistances(x, form), y)
+        value, grad = objective(theta)
+        fresh_value, fresh_grad = _LmlObjective(x, y, form)(theta)
         assert value == fresh_value
         assert np.array_equal(grad, fresh_grad)
 
@@ -195,11 +194,11 @@ def test_evaluation_on_reused_distances_allocates_under_two_gram_blocks():
     y = rng.normal(size=m)
     theta = np.log(np.array([1.0, 1.5, 0.8, 2.0, 0.3]))
     for form in FORMS:
-        distances = PairDistances(x, form)
-        _lml_and_gradient(theta, distances, y)
+        objective = _LmlObjective(x, y, form)
+        objective(theta)
         tracemalloc.start()
         try:
-            _lml_and_gradient(theta, distances, y)
+            objective(theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,10 +217,10 @@ def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
 
     rng = np.random.default_rng(24)
     x = rng.normal(size=(5, 2))
-    distances = PairDistances(x, SUM)
+    objective = _LmlObjective(x, rng.normal(size=5), SUM)
     monkeypatch.setattr(gpr, "stable_cholesky", singular_factor)
     with np.errstate(all="ignore"), pytest.raises(ConditioningError, match="info"):
-        _lml_and_gradient(np.zeros(3), distances, rng.normal(size=5))
+        objective(np.zeros(3))
 
 
 def test_gradient_of_constant_feature_is_zero_for_product_form():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import naive_age_similarity, naive_gram, naive_kernel_value
 from normgp import kernels
+from normgp.gpr import _LmlObjective
 from normgp.kernels import (
     FORMS,
     PRODUCT,
     SUM,
     AgeKernelParams,
     KernelParams,
-    PairDistances,
     gram_matrix,
     prior_variance,
     zero_distance_value,
@@ -351,9 +351,15 @@ def test_gram_matrix_holds_its_result_and_one_row_block(form):
 
 @pytest.mark.parametrize("form", FORMS)
 def test_pair_distance_gram_is_the_lower_triangle_of_gram_matrix(form):
+    # the fit's objective fills its Fortran Gram buffer from the pair kernel;
+    # dpotrf and dpotri write only the lower triangle, so after one call the
+    # strict upper triangle still holds the Gram that gram_matrix builds
     rng = np.random.default_rng(20)
     params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 5), noise_variance=0.4)
     x = rng.normal(size=(11, 5))
-    pair = PairDistances(x, form).gram(params)
-    assert pair.flags.f_contiguous
-    assert np.array_equal(pair, gram_matrix(x, x, params, form, same_set=True))
+    objective = _LmlObjective(x, rng.normal(size=11), form)
+    objective(np.log(np.append(params.length_scales, params.noise_variance)))
+    buffer = objective._gram
+    assert buffer.flags.f_contiguous
+    gram = gram_matrix(x, x, params, form, same_set=True)
+    assert np.array_equal(np.tril(buffer.T, -1), np.tril(gram, -1))

@@ -542,6 +542,13 @@ def _replace_after_header(tag, offset, new):
     return edit
 
 
+def _without_training_rows(lines):
+    features = lines.index("training_features 6 2")
+    ages = lines.index("training_ages 6")
+    return (lines[:features] + ["training_features 0 2", "training_ages 0", ""]
+            + lines[ages + 2:])
+
+
 @pytest.mark.parametrize(
     "edit, error, message",
     [
@@ -567,11 +574,14 @@ def _replace_after_header(tag, offset, new):
         (lambda lines: lines[:lines.index("training_features 6 2") + 3], ModelIntegrityError,
          "truncated"),
         (lambda lines: lines[:-1] + ["fin"], ModelFormatError, "'end' terminator"),
+        (_without_training_rows, ModelFormatError, "edited.gp: .*no training rows"),
+        (_replace_header("y_offset", "y_offset nan"), ModelFormatError,
+         "edited.gp: .*y_offset must be finite"),
     ],
     ids=["wrong-tag", "non-integer-count", "matrix-header-arity", "int-header-arity",
          "non-numeric-vector-value", "vector-row-width", "matrix-row-width",
          "standardizer-2", "pca-negative", "negative-length", "unknown-kernel",
-         "cut-inside-matrix", "no-end"],
+         "cut-inside-matrix", "no-end", "no-training-rows", "non-finite-y-offset"],
 )
 def test_model_malformed_section(tmp_path, edit, error, message):
     with pytest.raises(error, match=message):
