@@ -3,10 +3,12 @@
 Training maximizes the log marginal likelihood with analytic gradients,
 using multi-start L-BFGS-B in log-parameter space. A fit builds one
 objective, ``_LmlObjective``, from its training rows: it owns their pair
-distances and one Fortran-ordered m x m Gram buffer, and each evaluation
-fills that buffer through ``kernels._feature_kernel``, factorizes it in
-place and turns the factor into the gradient's K^-1 in place with LAPACK
-``dpotri``. Every factorization goes through ``stable_cholesky``, which
+distances and one Fortran-ordered m x m Gram buffer. Each evaluation fills
+that buffer through ``kernels._feature_kernel`` in chunks of pairs,
+factorizes it in place, turns the factor into the gradient's
+K^-1 - alpha alpha' in place with LAPACK ``dpotri`` and BLAS ``dsyr``, and
+recomputes the sum form's per-feature exponentials chunk by chunk for the
+gradient. Every factorization goes through ``stable_cholesky``, which
 runs LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
 transpose of ``restore``'s freshly built Gram, and the transpose of the
 weighted training Gram. Inference goes through a cached Cholesky
@@ -62,6 +64,9 @@ _NOISE_VARIANCE_INIT_FACTOR = 0.1
 # this many iterations.
 _GRADIENT_TOLERANCE = 1e-8
 _MAX_ITERATIONS = 200
+# Pairs per pass of the fit's objective over its pair arrays: one
+# chunk-sized scratch array (512 KiB) serves every pass.
+_PAIR_CHUNK = 2**16
 
 
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
@@ -253,10 +258,15 @@ class _LmlObjective:
     matrix cannot be factorized. The per-feature squared distances ``S_k``
     between the rows ``i > j`` do not depend on the hyperparameters, so
     every evaluation of every restart reuses them, together with the pair
-    buffers of the form's kernel and one Fortran-ordered m x m Gram buffer.
-    The kernel is computed on the strict lower pairs only, which halves
-    kernel work; ``_lower`` and ``_upper`` are each pair's flat positions
-    in the Fortran-ordered buffer, below and above the diagonal.
+    kernel and one Fortran-ordered m x m Gram buffer. The kernel is computed
+    on the strict lower pairs only, which halves kernel work; ``_lower`` and
+    ``_upper`` are each pair's flat positions in the Fortran-ordered buffer,
+    below and above the diagonal.
+
+    An evaluation reads the pairs in two passes of ``_PAIR_CHUNK`` pairs,
+    through one chunk-sized scratch array: the kernel pass fills the pair
+    kernel, and the sum form's gradient pass recomputes each feature's
+    exponential instead of keeping a d x pairs array of them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, form: str):
@@ -270,19 +280,27 @@ class _LmlObjective:
             np.multiply(out, out, out=out)
         self._lower = cols * m + rows
         self._upper = rows * m + cols
-        # The pair kernel, and each feature's term for the sum form.
-        self._kernel = np.empty(rows.size)
-        self._terms = np.empty(self._squared.shape) if form == SUM else repeat(np.empty(rows.size))
+        n_pairs = rows.size
+        del rows, cols  # freed before the buffers below are made
+        self._kernel = np.empty(n_pairs)
+        self._chunks = [slice(lo, min(lo + _PAIR_CHUNK, n_pairs))
+                        for lo in range(0, n_pairs, _PAIR_CHUNK)]
+        self._scratch = np.empty(min(_PAIR_CHUNK, n_pairs))
         self._gram = np.empty((m, m), order="F")
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         from scipy.linalg import cho_solve
+        from scipy.linalg.blas import dsyr
         from scipy.linalg.lapack import dpotri
 
         n_features, m = self._squared.shape[0], self._gram.shape[0]
         params = _params_from_log(theta, n_features)
+        length_scales = params.length_scales
         # The same-set Gram matrix, both triangles, factorized in place.
-        _feature_kernel(self.form, self._squared, params.length_scales, self._kernel, self._terms)
+        for chunk in self._chunks:
+            scratch = self._scratch[: chunk.stop - chunk.start]
+            _feature_kernel(self.form, self._squared[:, chunk], length_scales,
+                            self._kernel[chunk], repeat(scratch))
         flat = self._gram.ravel(order="F")
         flat[self._lower] = self._kernel
         flat[self._upper] = self._kernel
@@ -291,28 +309,33 @@ class _LmlObjective:
         alpha = cho_solve((chol, True), self.y, check_finite=False)
         value = _lml_value(chol, alpha, self.y)
 
-        # K^-1 from the factor (GPML eq. 5.9); dpotri overwrites the lower
-        # triangle only, in place.
+        # K^-1 - alpha alpha' from the factor (GPML eq. 5.9): dpotri and the
+        # rank-one dsyr each overwrite the lower triangle only, in place.
         k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
+        residual = dsyr(-1.0, alpha, lower=1, a=k_inv, overwrite_a=1)
         # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
         # so the two triangles' halves add up to one sum over the lower pairs.
-        # alpha alpha' is symmetric, so its C-order ravel serves the Fortran
-        # positions of the lower pairs; it is freed before the second gather.
-        outer = np.outer(alpha, alpha)
-        weights = np.take(outer.ravel(), self._lower)
-        del outer
-        weights -= np.take(k_inv.ravel(order="F"), self._lower)
+        weights = np.take(residual.ravel(order="F"), self._lower)
+        np.negative(weights, out=weights)
         # dk / dlog l_k is S_k / l_k^2 times the feature's exponential (sum
-        # form, overwriting the terms the Gram left) or the whole kernel.
+        # form, recomputed chunk by chunk) or the whole kernel.
         if self.form == SUM:
-            sums = np.multiply(self._terms, self._squared, out=self._terms) @ weights
+            sums = np.zeros(n_features)
+            for chunk in self._chunks:
+                scratch = self._scratch[: chunk.stop - chunk.start]
+                for dim, (sq, ls) in enumerate(zip(self._squared[:, chunk], length_scales)):
+                    np.divide(sq, -2.0 * ls * ls, out=scratch)
+                    np.exp(scratch, out=scratch)
+                    np.multiply(scratch, sq, out=scratch)
+                    # not ``@``: a threaded BLAS dot is slower on these lengths
+                    sums[dim] += np.einsum("p,p->", scratch, weights[chunk])
         else:
-            sums = self._squared @ (weights * self._kernel)
+            sums = self._squared @ np.multiply(weights, self._kernel, out=weights)
         grad = np.empty(n_features + 1)
-        grad[:n_features] = sums / (params.length_scales * params.length_scales)
-        grad[n_features] = 0.5 * params.noise_variance * (alpha @ alpha - np.trace(k_inv))
+        grad[:n_features] = sums / (length_scales * length_scales)
+        grad[n_features] = -0.5 * params.noise_variance * np.trace(residual)
         return value, grad
 
 
@@ -337,6 +360,45 @@ def _seeded_starts(x: np.ndarray, centered: np.ndarray, cfg: FitConfig) -> list[
         offsets = rng.uniform(math.log(lo), math.log(hi), size=n_features)
         starts.append(np.concatenate([np.log(feature_scale) + offsets, [log_noise_init]]))
     return starts
+
+
+def _run_restarts(
+    x: np.ndarray, centered: np.ndarray, form: str, inits: list[np.ndarray]
+) -> list[tuple[float, np.ndarray | None]]:
+    """One L-BFGS-B run per start, one after another, on one objective.
+
+    Each outcome is the run's final log marginal likelihood and optimum, or
+    ``(-inf, None)`` when the run ended on a failed factorization. The
+    objective is freed when this returns, so ``fit``'s final ``restore``
+    never holds it and its own Gram at once.
+    """
+    bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (x.shape[1] + 1)
+    lml = _LmlObjective(x, centered, form)
+    # Imported here: scipy.optimize is slow to load and only training needs it.
+    # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
+    from scipy import optimize
+
+    def objective(theta):
+        try:
+            value, grad = lml(theta)
+        except ConditioningError:
+            return _FAILURE_OBJECTIVE, np.zeros_like(theta)
+        return -value, -grad
+
+    def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
+        result = optimize.minimize(
+            objective,
+            theta0,
+            method="L-BFGS-B",
+            jac=True,
+            bounds=bounds,
+            options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
+        )
+        if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
+            return -math.inf, None
+        return float(-result.fun), np.asarray(result.x)
+
+    return [run_restart(theta0) for theta0 in inits]
 
 
 def fit(
@@ -374,33 +436,7 @@ def fit(
         starts = [np.log(np.append(start.length_scales, start.noise_variance))]
     inits = [np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND) for theta in starts]
 
-    bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
-    lml = _LmlObjective(x, centered, cfg.form)
-    # Imported here: scipy.optimize is slow to load and only training needs it.
-    # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
-    from scipy import optimize
-
-    def objective(theta):
-        try:
-            value, grad = lml(theta)
-        except ConditioningError:
-            return _FAILURE_OBJECTIVE, np.zeros_like(theta)
-        return -value, -grad
-
-    def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
-        result = optimize.minimize(
-            objective,
-            theta0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
-        )
-        if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
-            return -math.inf, None
-        return float(-result.fun), np.asarray(result.x)
-
-    outcomes = [run_restart(theta0) for theta0 in inits]
+    outcomes = _run_restarts(x, centered, cfg.form, inits)
 
     # failed restarts are -inf, and max keeps the lowest index among ties
     best_index = max(range(len(outcomes)), key=lambda index: outcomes[index][0])

@@ -422,6 +422,10 @@ class ModelArtifact:
             raise ValueError("the model has no training rows")
         if not math.isfinite(self.y_offset):
             raise ValueError(f"y_offset must be finite, not {self.y_offset!r}")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("training_features contains non-finite values")
+        if not np.all(np.isfinite(ages)):
+            raise ValueError("training_ages contains non-finite values")
         if self.kernel_params.n_features != features.shape[1]:
             raise ValueError(
                 "kernel_params dimensionality must match the stored training "

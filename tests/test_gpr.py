@@ -186,8 +186,10 @@ def test_reused_distances_after_a_jittered_point_match_fresh_ones_bitwise(form):
 
 
 def test_evaluation_on_reused_distances_allocates_under_two_gram_blocks():
-    # the Gram buffer is filled, factorized and inverted in place; alpha
-    # alpha' (one block) is freed before K^-1's pairs are gathered
+    # the Gram buffer is filled, factorized, inverted and rank-one updated
+    # in place, and the kernel and gradient passes run through a scratch
+    # chunk built with the objective: the lower pairs' weights (half a
+    # block) are the one pair-sized array an evaluation allocates
     rng = np.random.default_rng(28)
     m = 600
     x = rng.normal(size=(m, 4))
@@ -202,7 +204,55 @@ def test_evaluation_on_reused_distances_allocates_under_two_gram_blocks():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * m * m * 8
+        assert peak < 0.75 * m * m * 8
+
+
+def test_objective_keeps_one_feature_sized_pair_array():
+    # the per-feature distances S_k are the only d x pairs array: the sum
+    # form's exponentials are recomputed chunk by chunk, not stored. Past
+    # them the objective holds its two int64 pair indexes, the pair kernel,
+    # a scratch chunk (a whole pair array at this m) and the Gram buffer,
+    # and an evaluation adds the pair weights: 3.5 m x m blocks in all
+    rng = np.random.default_rng(29)
+    m, n_features = 300, 32
+    x = rng.normal(size=(m, n_features))
+    y = rng.normal(size=m)
+    theta = np.log(np.append(rng.uniform(0.5, 2.0, n_features), 0.3))
+    _LmlObjective(x[:3], y[:3], SUM)(theta)  # scipy's imports are not counted
+    feature_pairs = n_features * (m * (m - 1) // 2) * 8
+    for form in FORMS:
+        tracemalloc.start()
+        try:
+            _LmlObjective(x, y, form)(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < feature_pairs + 4 * m * m * 8
+
+
+@pytest.mark.parametrize("form", [SUM, PRODUCT])
+def test_chunked_passes_match_one_chunk(form, monkeypatch):
+    # chunks of 7 pairs split the pairs of every row mid-way; the kernel
+    # pass is elementwise, so the value keeps its bits, and only the sum
+    # form's gradient reductions are regrouped
+    import normgp.gpr as gpr
+
+    rng = np.random.default_rng(30)
+    m = 20
+    x = rng.normal(size=(m, 3))
+    y = rng.uniform(20, 80, m) - 50.0
+    params = KernelParams(length_scales=np.array([0.6, 1.4, 2.5]), noise_variance=0.4)
+    theta = np.log(np.append(params.length_scales, params.noise_variance))
+    value, grad = _LmlObjective(x, y, form)(theta)
+    monkeypatch.setattr(gpr, "_PAIR_CHUNK", 7)
+    chunked = _LmlObjective(x, y, form)
+    assert len(chunked._chunks) == math.ceil(m * (m - 1) / 2 / 7)
+    chunked_value, chunked_grad = chunked(theta)
+    assert chunked_value == value
+    assert chunked_value == log_marginal_likelihood(params, form, x, y)
+    assert np.allclose(chunked_grad, grad, rtol=1e-12, atol=0.0)
+    dense = _dense_gradient(params, form, x, y)
+    assert np.allclose(chunked_grad, dense, rtol=1e-8, atol=1e-8 * np.abs(dense).max())
 
 
 def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):

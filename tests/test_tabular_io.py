@@ -577,11 +577,18 @@ def _without_training_rows(lines):
         (_without_training_rows, ModelFormatError, "edited.gp: .*no training rows"),
         (_replace_header("y_offset", "y_offset nan"), ModelFormatError,
          "edited.gp: .*y_offset must be finite"),
+        (_replace_after_header("training_ages", 1,
+                               lambda line: "nan " + line.split(" ", 1)[1]),
+         ModelFormatError, "edited.gp: .*training_ages contains non-finite"),
+        (_replace_after_header("training_features", 3,
+                               lambda line: line.split(" ", 1)[0] + " inf"),
+         ModelFormatError, "edited.gp: .*training_features contains non-finite"),
     ],
     ids=["wrong-tag", "non-integer-count", "matrix-header-arity", "int-header-arity",
          "non-numeric-vector-value", "vector-row-width", "matrix-row-width",
          "standardizer-2", "pca-negative", "negative-length", "unknown-kernel",
-         "cut-inside-matrix", "no-end", "no-training-rows", "non-finite-y-offset"],
+         "cut-inside-matrix", "no-end", "no-training-rows", "non-finite-y-offset",
+         "nan-training-age", "inf-training-feature"],
 )
 def test_model_malformed_section(tmp_path, edit, error, message):
     with pytest.raises(error, match=message):
