@@ -65,7 +65,9 @@ _NOISE_VARIANCE_INIT_FACTOR = 0.1
 _GRADIENT_TOLERANCE = 1e-8
 _MAX_ITERATIONS = 200
 # Pairs per pass of the fit's objective over its pair arrays: one
-# chunk-sized scratch array (512 KiB) serves every pass.
+# chunk-sized scratch array (512 KiB) serves every pass and stays in cache.
+# At m=2000, d=50 (31 chunks, 2-vCPU VM) an evaluation takes about 1.04 s and
+# 1.85 s with one pair-sized scratch; below m=363 there is only one chunk.
 _PAIR_CHUNK = 2**16
 
 
@@ -320,7 +322,9 @@ class _LmlObjective:
         weights = np.take(residual.ravel(order="F"), self._lower)
         np.negative(weights, out=weights)
         # dk / dlog l_k is S_k / l_k^2 times the feature's exponential (sum
-        # form, recomputed chunk by chunk) or the whole kernel.
+        # form, recomputed chunk by chunk) or the whole kernel. The sum
+        # form's exponential repeats kernels._feature_kernel's formula,
+        # np.divide and all: a change to one must be made to the other.
         if self.form == SUM:
             sums = np.zeros(n_features)
             for chunk in self._chunks:
@@ -362,45 +366,6 @@ def _seeded_starts(x: np.ndarray, centered: np.ndarray, cfg: FitConfig) -> list[
     return starts
 
 
-def _run_restarts(
-    x: np.ndarray, centered: np.ndarray, form: str, inits: list[np.ndarray]
-) -> list[tuple[float, np.ndarray | None]]:
-    """One L-BFGS-B run per start, one after another, on one objective.
-
-    Each outcome is the run's final log marginal likelihood and optimum, or
-    ``(-inf, None)`` when the run ended on a failed factorization. The
-    objective is freed when this returns, so ``fit``'s final ``restore``
-    never holds it and its own Gram at once.
-    """
-    bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (x.shape[1] + 1)
-    lml = _LmlObjective(x, centered, form)
-    # Imported here: scipy.optimize is slow to load and only training needs it.
-    # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
-    from scipy import optimize
-
-    def objective(theta):
-        try:
-            value, grad = lml(theta)
-        except ConditioningError:
-            return _FAILURE_OBJECTIVE, np.zeros_like(theta)
-        return -value, -grad
-
-    def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
-        result = optimize.minimize(
-            objective,
-            theta0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
-        )
-        if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
-            return -math.inf, None
-        return float(-result.fun), np.asarray(result.x)
-
-    return [run_restart(theta0) for theta0 in inits]
-
-
 def fit(
     x, y, config: FitConfig | None = None, *, start: KernelParams | None = None
 ) -> TrainedModel:
@@ -436,7 +401,34 @@ def fit(
         starts = [np.log(np.append(start.length_scales, start.noise_variance))]
     inits = [np.clip(theta, -_LOG_PARAM_BOUND, _LOG_PARAM_BOUND) for theta in starts]
 
-    outcomes = _run_restarts(x, centered, cfg.form, inits)
+    bounds = [(-_LOG_PARAM_BOUND, _LOG_PARAM_BOUND)] * (n_features + 1)
+    lml = _LmlObjective(x, centered, cfg.form)
+    # Imported here: scipy.optimize is slow to load and only training needs it.
+    # ``minimize`` stays a lookup on the module, so a wrapper set there sees every call.
+    from scipy import optimize
+
+    def objective(theta):
+        try:
+            value, grad = lml(theta)
+        except ConditioningError:
+            return _FAILURE_OBJECTIVE, np.zeros_like(theta)
+        return -value, -grad
+
+    def run_restart(theta0: np.ndarray) -> tuple[float, np.ndarray | None]:
+        result = optimize.minimize(
+            objective,
+            theta0,
+            method="L-BFGS-B",
+            jac=True,
+            bounds=bounds,
+            options={"maxiter": _MAX_ITERATIONS, "ftol": 1e-12, "gtol": _GRADIENT_TOLERANCE},
+        )
+        if not np.isfinite(result.fun) or result.fun >= 0.5 * _FAILURE_OBJECTIVE:
+            return -math.inf, None
+        return float(-result.fun), np.asarray(result.x)
+
+    outcomes = [run_restart(theta0) for theta0 in inits]
+    del lml  # freed before restore builds its own Gram
 
     # failed restarts are -inf, and max keeps the lowest index among ties
     best_index = max(range(len(outcomes)), key=lambda index: outcomes[index][0])

@@ -17,9 +17,11 @@ turns either kernel into the age-weighted kernel ``k_w = s * k``. An
 infinite age length scale makes ``s`` identically one, recovering the
 unweighted kernel exactly (bitwise, not just approximately).
 
-Each form's formula lives once, in ``_feature_kernel``: ``gram_matrix``
+Each form's formula lives in ``_feature_kernel``: ``gram_matrix``
 applies it to row blocks of distances, and the fit's objective in ``gpr``
-applies it to the training rows' pairs.
+applies it to the training rows' pairs. That objective's gradient pass
+repeats the sum form's per-feature exponential, so a change to it is made
+in both places.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def age_factor(ages_a, ages_b, age_params: AgeKernelParams, out=None) -> np.ndar
 def _feature_kernel(form, squared, length_scales, out, terms):
     """The feature kernel from per-feature squared distances ``S_k``, into ``out``.
 
-    The one place each form's formula lives. Feature k's term
+    Where each form's formula lives; ``gpr._LmlObjective``'s gradient pass
+    repeats the sum form's exponential. Feature k's term
     ``-S_k / (2 l_k^2)`` goes into ``terms[k]`` (which may be the array
     ``squared`` yielded) and, for the sum form, is exponentiated there.
     ``squared`` is consumed one feature at a time, so it may be a generator.

@@ -349,6 +349,43 @@ def test_fit_runs_every_restart_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()] * 3
 
 
+def test_fit_frees_the_objective_before_restore(monkeypatch):
+    # the final restore builds its own Gram, so the objective's pair arrays
+    # and Gram buffer must be gone by then; the collector is off so that
+    # only dropped references can free it
+    import gc
+    import weakref
+
+    import normgp.gpr as gpr
+
+    built = []
+
+    class Tracked(gpr._LmlObjective):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    alive_at_restore = []
+    real_restore = gpr.restore
+
+    def recording_restore(*args, **kwargs):
+        alive_at_restore.append(built[0]() is not None)
+        return real_restore(*args, **kwargs)
+
+    monkeypatch.setattr(gpr, "_LmlObjective", Tracked)
+    monkeypatch.setattr(gpr, "restore", recording_restore)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(12, 2))
+    y = rng.uniform(20, 80, 12)
+    gc.disable()
+    try:
+        fit(x, y, FitConfig(restarts=2, seed=6))
+    finally:
+        gc.enable()
+    assert len(built) == 1
+    assert alive_at_restore == [False]
+
+
 def test_fit_records_per_restart_trace():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(10, 2))
