@@ -3,13 +3,14 @@
 Training maximizes the log marginal likelihood with analytic gradients,
 using multi-start L-BFGS-B in log-parameter space. A fit builds one
 objective, ``_LmlObjective``, from its training rows: it owns their pair
-distances and one Fortran-ordered m x m Gram buffer. Each evaluation fills
-that buffer through ``kernels._feature_kernel`` in chunks of pairs,
-factorizes it in place, turns the factor into the gradient's
-K^-1 - alpha alpha' in place with LAPACK ``dpotri`` and BLAS ``dsyr``, and
-recomputes the sum form's per-feature exponentials chunk by chunk for the
-gradient. Every factorization goes through ``stable_cholesky``, which
-runs LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
+distances, a boolean mask of the pairs' strict lower triangle and one
+Fortran-ordered m x m Gram buffer. Each evaluation fills that buffer
+through ``kernels._feature_kernel`` in chunks of pairs, factorizes it in
+place, turns the factor into the gradient's K^-1 - alpha alpha' in place
+with LAPACK ``dpotri`` and BLAS ``dsyr``, and recomputes the sum form's
+per-feature terms (``kernels._feature_term``) chunk by chunk for the
+gradient. Every factorization goes through ``stable_cholesky``, which runs
+LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
 transpose of ``restore``'s freshly built Gram, and the transpose of the
 weighted training Gram. Inference goes through a cached Cholesky
 factorization of the training Gram matrix — never an explicit inverse. The
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .kernels import (
     KernelParams,
     _check_form,
     _feature_kernel,
+    _feature_term,
     _row_blocks,
     age_factor,
     gram_matrix,
@@ -230,12 +231,12 @@ def _validated_features(x, n_features: int | None = None, name: str = "X") -> np
     return arr
 
 
-def _validated_targets(y, n_rows: int) -> np.ndarray:
+def _validated_targets(y, n_rows: int, name: str = "y") -> np.ndarray:
     arr = np.asarray(y, dtype=float).reshape(-1)
     if arr.shape[0] != n_rows:
-        raise ValueError(f"y has length {arr.shape[0]}, expected {n_rows}")
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n_rows}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("y contains non-finite values")
+        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
@@ -246,9 +247,13 @@ def _params_from_log(theta: np.ndarray, n_features: int) -> KernelParams:
     )
 
 
-def _lml_value(chol: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+def _lml_value(chol: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """``alpha = K^-1 y`` and the log marginal likelihood from the lower factor of K."""
+    from scipy.linalg import cho_solve
+
+    alpha = cho_solve((chol, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diagonal(chol))))
-    return float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
+    return alpha, float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
 
 
 class _LmlObjective:
@@ -261,14 +266,15 @@ class _LmlObjective:
     between the rows ``i > j`` do not depend on the hyperparameters, so
     every evaluation of every restart reuses them, together with the pair
     kernel and one Fortran-ordered m x m Gram buffer. The kernel is computed
-    on the strict lower pairs only, which halves kernel work; ``_lower`` and
-    ``_upper`` are each pair's flat positions in the Fortran-ordered buffer,
-    below and above the diagonal.
+    on the strict lower pairs only, which halves kernel work. ``_pairs`` is
+    the boolean mask of the strict lower triangle: boolean indexing visits
+    it in ``np.tril_indices`` order, the pairs' order, so it scatters the
+    pair kernel into both triangles and gathers the pair weights.
 
     An evaluation reads the pairs in two passes of ``_PAIR_CHUNK`` pairs,
     through one chunk-sized scratch array: the kernel pass fills the pair
     kernel, and the sum form's gradient pass recomputes each feature's
-    exponential instead of keeping a d x pairs array of them.
+    ``_feature_term`` instead of keeping a d x pairs array of them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, form: str):
@@ -280,10 +286,9 @@ class _LmlObjective:
         for dim, out in enumerate(self._squared):
             np.subtract(x[rows, dim], x[cols, dim], out=out)
             np.multiply(out, out, out=out)
-        self._lower = cols * m + rows
-        self._upper = rows * m + cols
         n_pairs = rows.size
         del rows, cols  # freed before the buffers below are made
+        self._pairs = np.tri(m, k=-1, dtype=bool)
         self._kernel = np.empty(n_pairs)
         self._chunks = [slice(lo, min(lo + _PAIR_CHUNK, n_pairs))
                         for lo in range(0, n_pairs, _PAIR_CHUNK)]
@@ -291,25 +296,22 @@ class _LmlObjective:
         self._gram = np.empty((m, m), order="F")
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        from scipy.linalg import cho_solve
         from scipy.linalg.blas import dsyr
         from scipy.linalg.lapack import dpotri
 
-        n_features, m = self._squared.shape[0], self._gram.shape[0]
+        n_features = self._squared.shape[0]
         params = _params_from_log(theta, n_features)
         length_scales = params.length_scales
         # The same-set Gram matrix, both triangles, factorized in place.
         for chunk in self._chunks:
             scratch = self._scratch[: chunk.stop - chunk.start]
             _feature_kernel(self.form, self._squared[:, chunk], length_scales,
-                            self._kernel[chunk], repeat(scratch))
-        flat = self._gram.ravel(order="F")
-        flat[self._lower] = self._kernel
-        flat[self._upper] = self._kernel
-        flat[:: m + 1] = prior_variance(params, self.form)
+                            self._kernel[chunk], scratch)
+        self._gram[self._pairs] = self._kernel
+        self._gram.T[self._pairs] = self._kernel
+        np.fill_diagonal(self._gram, prior_variance(params, self.form))
         chol, _ = stable_cholesky(self._gram)
-        alpha = cho_solve((chol, True), self.y, check_finite=False)
-        value = _lml_value(chol, alpha, self.y)
+        alpha, value = _lml_value(chol, self.y)
 
         # K^-1 - alpha alpha' from the factor (GPML eq. 5.9): dpotri and the
         # rank-one dsyr each overwrite the lower triangle only, in place.
@@ -319,22 +321,19 @@ class _LmlObjective:
         residual = dsyr(-1.0, alpha, lower=1, a=k_inv, overwrite_a=1)
         # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
         # so the two triangles' halves add up to one sum over the lower pairs.
-        weights = np.take(residual.ravel(order="F"), self._lower)
+        weights = residual[self._pairs]
         np.negative(weights, out=weights)
         # dk / dlog l_k is S_k / l_k^2 times the feature's exponential (sum
-        # form, recomputed chunk by chunk) or the whole kernel. The sum
-        # form's exponential repeats kernels._feature_kernel's formula,
-        # np.divide and all: a change to one must be made to the other.
+        # form, recomputed chunk by chunk) or the whole kernel.
         if self.form == SUM:
             sums = np.zeros(n_features)
             for chunk in self._chunks:
                 scratch = self._scratch[: chunk.stop - chunk.start]
                 for dim, (sq, ls) in enumerate(zip(self._squared[:, chunk], length_scales)):
-                    np.divide(sq, -2.0 * ls * ls, out=scratch)
-                    np.exp(scratch, out=scratch)
-                    np.multiply(scratch, sq, out=scratch)
+                    term = _feature_term(SUM, sq, ls, scratch)
+                    np.multiply(term, sq, out=term)
                     # not ``@``: a threaded BLAS dot is slower on these lengths
-                    sums[dim] += np.einsum("p,p->", scratch, weights[chunk])
+                    sums[dim] += np.einsum("p,p->", term, weights[chunk])
         else:
             sums = self._squared @ np.multiply(weights, self._kernel, out=weights)
         grad = np.empty(n_features + 1)
@@ -462,8 +461,6 @@ def restore(
     regression runs on ``y - y_offset``. ``restart_log_marginals`` defaults
     to this model's own log marginal likelihood.
     """
-    from scipy.linalg import cho_solve
-
     _check_form(form)
     x = _validated_features(x, params.n_features)
     y = _validated_targets(y, x.shape[0])
@@ -471,8 +468,7 @@ def restore(
     # The Gram is bitwise symmetric, so its transpose is the Fortran buffer
     # that stable_cholesky factorizes in place.
     chol, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True).T)
-    alpha = cho_solve((chol, True), centered, check_finite=False)
-    value = _lml_value(chol, alpha, centered)
+    alpha, value = _lml_value(chol, centered)
     return TrainedModel(
         x=x,
         y=y,
@@ -604,11 +600,7 @@ def weighted_posterior_cov(
     same ``x_test``, so a sweep over age parameters builds them once.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
-    ages = np.asarray(test_ages, dtype=float).reshape(-1)
-    if ages.shape[0] != xt.shape[0]:
-        raise ValueError("test_ages length must match X_test row count")
-    if not np.all(np.isfinite(ages)):
-        raise ValueError("test ages must be finite")
+    ages = _validated_targets(test_ages, xt.shape[0], "test_ages")
     unweighted = math.isinf(age_params.age_length_scale)
     k_star = _cross_block(model, xt, grams)
     if unweighted and age_params.age_noise_variance == 0.0:

@@ -17,18 +17,17 @@ turns either kernel into the age-weighted kernel ``k_w = s * k``. An
 infinite age length scale makes ``s`` identically one, recovering the
 unweighted kernel exactly (bitwise, not just approximately).
 
-Each form's formula lives in ``_feature_kernel``: ``gram_matrix``
-applies it to row blocks of distances, and the fit's objective in ``gpr``
-applies it to the training rows' pairs. That objective's gradient pass
-repeats the sum form's per-feature exponential, so a change to it is made
-in both places.
+Each feature's term of either form is written once, in ``_feature_term``,
+and ``_feature_kernel`` adds the terms up into a form's kernel:
+``gram_matrix`` applies it to row blocks of distances, and the fit's
+objective in ``gpr`` to the training rows' pairs, whose sum-form gradient
+pass calls ``_feature_term`` for each feature's exponential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -140,21 +139,29 @@ def age_factor(ages_a, ages_b, age_params: AgeKernelParams, out=None) -> np.ndar
     return np.exp(dy, out=dy)
 
 
-def _feature_kernel(form, squared, length_scales, out, terms):
+def _feature_term(form, squared, length_scale, out):
+    """One feature's term from its squared distances ``S_k``, into ``out``.
+
+    ``-S_k / (2 l_k^2)``, exponentiated for the sum form; ``out`` may be
+    ``squared`` itself.
+    """
+    np.divide(squared, -2.0 * length_scale * length_scale, out=out)
+    if form == SUM:
+        np.exp(out, out=out)
+    return out
+
+
+def _feature_kernel(form, squared, length_scales, out, scratch):
     """The feature kernel from per-feature squared distances ``S_k``, into ``out``.
 
-    Where each form's formula lives; ``gpr._LmlObjective``'s gradient pass
-    repeats the sum form's exponential. Feature k's term
-    ``-S_k / (2 l_k^2)`` goes into ``terms[k]`` (which may be the array
-    ``squared`` yielded) and, for the sum form, is exponentiated there.
-    ``squared`` is consumed one feature at a time, so it may be a generator.
+    Each feature's ``_feature_term`` goes through ``scratch`` (which may be
+    the array ``squared`` yields) and is added to ``out``; the product form
+    exponentiates the sum. ``squared`` is consumed one feature at a time,
+    so it may be a generator.
     """
     out.fill(0.0)
-    for sq, term, ls in zip(squared, terms, length_scales):
-        np.divide(sq, -2.0 * ls * ls, out=term)
-        if form == SUM:
-            np.exp(term, out=term)
-        out += term
+    for sq, ls in zip(squared, length_scales):
+        out += _feature_term(form, sq, ls, scratch)
     if form == PRODUCT:
         np.exp(out, out=out)
     return out
@@ -213,7 +220,7 @@ def gram_matrix(
     for rows in blocks:
         scratch = buffer[: rows.stop - rows.start]
         block = _feature_kernel(form, _squared_distances(a[rows], b, scratch),
-                                params.length_scales, k[rows], repeat(scratch))
+                                params.length_scales, k[rows], scratch)
         if age_params is not None:
             block *= age_factor(ya[rows], yb, age_params, out=scratch)
 

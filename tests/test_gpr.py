@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     naive_gram,
@@ -210,9 +212,9 @@ def test_evaluation_on_reused_distances_allocates_under_two_gram_blocks():
 def test_objective_keeps_one_feature_sized_pair_array():
     # the per-feature distances S_k are the only d x pairs array: the sum
     # form's exponentials are recomputed chunk by chunk, not stored. Past
-    # them the objective holds its two int64 pair indexes, the pair kernel,
-    # a scratch chunk (a whole pair array at this m) and the Gram buffer,
-    # and an evaluation adds the pair weights: 3.5 m x m blocks in all
+    # them the objective holds its boolean pair mask (1/8 block), the pair
+    # kernel, a scratch chunk (a whole pair array at this m) and the Gram
+    # buffer, and an evaluation adds the pair weights: 2.63 m x m blocks
     rng = np.random.default_rng(29)
     m, n_features = 300, 32
     x = rng.normal(size=(m, n_features))
@@ -227,7 +229,7 @@ def test_objective_keeps_one_feature_sized_pair_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < feature_pairs + 4 * m * m * 8
+        assert peak < feature_pairs + 3 * m * m * 8
 
 
 @pytest.mark.parametrize("form", [SUM, PRODUCT])
@@ -253,6 +255,28 @@ def test_chunked_passes_match_one_chunk(form, monkeypatch):
     assert np.allclose(chunked_grad, grad, rtol=1e-12, atol=0.0)
     dense = _dense_gradient(params, form, x, y)
     assert np.allclose(chunked_grad, dense, rtol=1e-8, atol=1e-8 * np.abs(dense).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    form=st.sampled_from(FORMS),
+    m=st.integers(2, 40),
+    n_features=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_objective_is_invariant_under_training_row_permutation(form, m, n_features, seed, data):
+    # reordering the training rows reorders the pairs and the Gram matrix
+    # symmetrically, which changes only the rounding
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, n_features)) * rng.uniform(0.5, 2.0)
+    y = rng.uniform(20.0, 80.0, m) - 50.0
+    theta = np.log(np.append(rng.uniform(0.3, 3.0, n_features), rng.uniform(0.05, 0.5)))
+    order = np.array(data.draw(st.permutations(range(m))))
+    value, grad = _LmlObjective(x, y, form)(theta)
+    permuted_value, permuted_grad = _LmlObjective(x[order], y[order], form)(theta)
+    assert abs(permuted_value - value) <= 1e-10 * abs(value)
+    assert np.abs(permuted_grad - grad).max() <= 1e-9 * np.abs(grad).max()
 
 
 def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
@@ -907,6 +931,23 @@ def test_predict_dimension_mismatch():
         weighted_posterior_cov(
             model, np.ones((2, x.shape[1])), np.array([50.0]), AgeKernelParams()
         )
+
+
+@pytest.mark.parametrize(
+    "ages, message",
+    [
+        (np.array([50.0]), "test_ages has length 1, expected 2"),
+        (np.array([50.0, np.nan]), "test_ages contains non-finite values"),
+        (np.array([np.inf, 50.0]), "test_ages contains non-finite values"),
+    ],
+    ids=["wrong-length", "nan", "inf"],
+)
+def test_weighted_posterior_cov_rejects_bad_test_ages(ages, message):
+    rng = np.random.default_rng(21)
+    x, y, _, _, params, form = random_instance(rng)
+    model = restore(x, y, params, form)
+    with pytest.raises(ValueError, match=message):
+        weighted_posterior_cov(model, np.ones((2, x.shape[1])), ages, AgeKernelParams(10.0))
 
 
 def test_restore_reconstruction_invariants():
