@@ -13,10 +13,17 @@ gradient. Every factorization goes through ``stable_cholesky``, which runs
 LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
 transpose of ``restore``'s freshly built Gram, and the transpose of the
 weighted training Gram. Inference goes through a cached Cholesky
-factorization of the training Gram matrix — never an explicit inverse. The
-age-weighted posterior variance reweights the unweighted feature Gram
-blocks by an age factor, reusing the fitted hyperparameters, and forms only
-the variance diagonal, one row block of test rows at a time.
+factorization of the training Gram matrix — never an explicit inverse.
+
+Scoring is one pass over blocks of ``_PASS_ROWS`` test rows
+(``_posterior_pass``): each block's test-by-training Gram block gives its
+predictive mean, through scipy's BLAS ``dgemv``, and its posterior
+variance; the age-weighted variance reweights the same block by an age
+factor, reusing the fitted hyperparameters, and solves it against the
+weighted training factor, which is built once before the pass. Only the
+variance diagonal is formed, and no n x m block is stored. A sweep over
+age parameters instead builds the feature blocks once (``feature_grams``)
+and reweights the stored cross block at each point.
 
 scipy is imported inside the functions that factorize or solve, so a stage
 that never touches a Gram matrix never loads it.
@@ -70,6 +77,12 @@ _MAX_ITERATIONS = 200
 # At m=2000, d=50 (31 chunks, 2-vCPU VM) an evaluation takes about 1.04 s and
 # 1.85 s with one pair-sized scratch; below m=363 there is only one chunk.
 _PAIR_CHUNK = 2**16
+# Test rows per block of ``_posterior_pass``. Each block's triangular solve
+# re-reads the whole m x m factor, so a block is a fixed number of rows, not
+# of entries: at m=3000, n=6000 (2-vCPU VM) a pass takes 2.0 s with 256-row
+# blocks, 1.9-2.0 s with 512-1024 rows, 2.1-2.4 s with 174 (2**19 entries)
+# and 2.6-2.7 s with 43 (2**17 entries). 256 rows hold 6 MiB at m=3000.
+_PASS_ROWS = 256
 
 
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
@@ -200,10 +213,15 @@ class WeightedCovariance:
     """Posterior variance under the age-weighted kernel.
 
     ``jitter`` is the diagonal jitter of the weighted training factorization.
+    A call that built its own cross blocks also returns its pass's
+    predictive mean ``y_hat`` and ``unweighted_variance``, the plain
+    posterior variance; with stored ``grams`` both are ``None``.
     """
 
     variance: np.ndarray
     jitter: float
+    y_hat: np.ndarray | None = None
+    unweighted_variance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -211,13 +229,13 @@ class FeatureGrams:
     """Unweighted feature-kernel blocks of test rows against a model's training rows.
 
     ``cross`` is test-by-training; ``train`` is training-by-training without
-    the delta terms (``None`` leaves it to be built when an age weighting
-    needs it). The age-weighted kernel multiplies these by an age factor, so
-    one pair serves every age length scale for the same test rows.
+    the delta terms. The age-weighted kernel multiplies these by an age
+    factor, so one pair serves every age length scale for the same test
+    rows.
     """
 
     cross: np.ndarray
-    train: np.ndarray | None
+    train: np.ndarray
 
 
 def _validated_features(x, n_features: int | None = None, name: str = "X") -> np.ndarray:
@@ -484,92 +502,112 @@ def restore(
     )
 
 
-def _posterior_variance(
-    chol: np.ndarray,
-    k_star: np.ndarray,
-    prior: float,
-    k_tt: np.ndarray | None = None,
-    reweight=None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Posterior variance diagonal from the cross Gram block.
+def _solve_variance(chol, block, prior: float, out: np.ndarray, overwrite: bool) -> None:
+    """``prior - |L^-1 k|^2`` for each row ``k`` of ``block``, unclamped, into ``out``.
 
-    A test row's variance needs only its own row of ``k_star``, so rows are
-    solved, squared and summed one row block at a time. ``reweight(rows,
-    block)``, when given, returns that block of ``k_star`` under the kernel
-    the variance is for, as a new array that the solve overwrites. Given
-    the test-test prior block ``k_tt``, all rows form one block and the
-    full covariance is also returned, with the clamped variance on its
-    diagonal exactly. Clamps
-    tiny negative values (>= -1e-10) to zero; anything more negative is a
-    genuine numerical failure.
+    ``overwrite`` lets the solve and its squares reuse ``block``'s memory.
     """
     from scipy.linalg import solve_triangular
 
-    n = k_star.shape[0]
-    blocks = [slice(0, n)] if k_tt is not None else _row_blocks(*k_star.shape)
-    raw = np.empty(n)
-    cov = None
-    for rows in blocks:
-        block = k_star[rows] if reweight is None else reweight(rows, k_star[rows])
-        v = solve_triangular(chol, block.T, lower=True, check_finite=False,
-                             overwrite_b=reweight is not None)
-        if k_tt is not None:
-            cov = k_tt - v.T @ v
-        raw[rows] = prior - np.sum(np.multiply(v, v, out=v), axis=0)
-        del block, v  # freed before the next block is made
+    v = solve_triangular(chol, block.T, lower=True, check_finite=False, overwrite_b=overwrite)
+    np.subtract(prior, np.sum(np.multiply(v, v, out=v), axis=0), out=out)
+
+
+def _clamped(raw: np.ndarray) -> np.ndarray:
+    """Variances with tiny negative values (>= -1e-10) clamped to zero;
+    anything more negative is a genuine numerical failure."""
     worst = float(raw.min()) if raw.size else 0.0
     if worst < _NEGATIVE_VARIANCE_TOLERANCE:
         raise NumericalError(
             f"posterior variance {worst:.6e} is below the clamping tolerance "
             f"{_NEGATIVE_VARIANCE_TOLERANCE:.1e}"
         )
-    variance = np.where(raw < 0.0, 0.0, raw)
-    if cov is not None:
-        np.fill_diagonal(cov, variance)
-    return variance, cov
+    return np.where(raw < 0.0, 0.0, raw)
 
 
-def _cross_block(model: TrainedModel, xt: np.ndarray, grams: FeatureGrams | None) -> np.ndarray:
-    if grams is None:
-        return gram_matrix(xt, model.x, model.params, model.form)
-    if grams.cross.shape != (xt.shape[0], model.n_training):
-        raise ValueError("grams were built for a different test set or model")
-    return grams.cross
+def _posterior_pass(model: TrainedModel, xt: np.ndarray, cross=None, weighting=None):
+    """Predictive means and posterior variances in one pass over row blocks of ``xt``.
+
+    Each block of ``_PASS_ROWS`` test rows gets its test-by-training block
+    from ``gram_matrix``, or as a slice of a stored ``cross`` block. A
+    built block gives the block's ``y_hat`` and its variance, solved in
+    place against ``model.chol``. ``weighting``, as ``(chol, ages,
+    age_params)``, adds the age-weighted variance: the block times the age
+    factor, solved against the weighted training factor ``chol`` (at
+    ``l_y = inf`` the factor is exactly one and the block is solved as it
+    is). A test row's results read only its own row, so besides the
+    factors a pass holds about two row blocks, whatever the test rows.
+
+    Returns ``(y_hat, variance, weighted)``, the variances unclamped; what
+    the pass does not form is ``None`` (a stored ``cross`` gives only
+    ``weighted``).
+    """
+    from scipy.linalg.blas import dgemv
+
+    n = xt.shape[0]
+    prior = zero_distance_value(model.params, model.form)
+    own = cross is None
+    y_hat = np.empty(n) if own else None
+    variance = np.empty(n) if own else None
+    weighted = None if weighting is None else np.empty(n)
+    for rows in _row_blocks(n, _PASS_ROWS):
+        if own:
+            block = gram_matrix(xt[rows], model.x, model.params, model.form)
+            # scipy's BLAS, as the solves use: numpy's ``@`` runs on numpy's
+            # own OpenBLAS, whose spinning thread pool slows the solves
+            y_hat[rows] = dgemv(1.0, block.T, model.alpha, trans=1)
+        else:
+            block = cross[rows]
+        if weighting is not None:
+            chol, ages, age_params = weighting
+            if math.isinf(age_params.age_length_scale):
+                _solve_variance(chol, block, prior, weighted[rows], overwrite=False)
+            else:
+                factor = age_factor(ages[rows], model.y, age_params)
+                np.multiply(factor, block, out=factor)
+                _solve_variance(chol, factor, prior, weighted[rows], overwrite=True)
+                del factor
+        if own:
+            _solve_variance(model.chol, block, prior, variance[rows], overwrite=True)
+        del block  # freed before the next block is made
+    if own:
+        y_hat += model.y_offset
+    return y_hat, variance, weighted
 
 
-def predict(
-    model: TrainedModel,
-    x_test,
-    *,
-    full_cov: bool = False,
-    grams: FeatureGrams | None = None,
-) -> PredictionResult:
+def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> PredictionResult:
     """Predictive mean and posterior (co)variance at new feature rows.
 
     The test-test prior is the noise-free kernel value k(x*, x*): the noise
     delta applies only inside the training Gram matrix, so for one training
     and one test point the variance is k(x*,x*) - k*^2/(k(x,x) + noise).
-    When ``full_cov`` is requested its diagonal is set to the clamped
-    variance vector exactly. ``grams`` passes the cross block from
-    ``feature_grams`` for the same ``x_test``, as for
-    ``weighted_posterior_cov``.
+    Without ``full_cov`` the test rows go through ``_posterior_pass``, one
+    row block at a time. With it they form one block, and the full
+    covariance's diagonal is set to the clamped variance vector exactly.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
-    k_star = _cross_block(model, xt, grams)
-    y_hat = k_star @ model.alpha + model.y_offset
-    k_tt = gram_matrix(xt, xt, model.params, model.form) if full_cov else None
-    variance, cov = _posterior_variance(
-        model.chol, k_star, zero_distance_value(model.params, model.form), k_tt
-    )
+    if not full_cov:
+        y_hat, raw, _ = _posterior_pass(model, xt)
+        return PredictionResult(y_hat=y_hat, variance=_clamped(raw))
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.blas import dgemv
+
+    k_star = gram_matrix(xt, model.x, model.params, model.form)
+    y_hat = dgemv(1.0, k_star.T, model.alpha, trans=1) + model.y_offset
+    v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False, overwrite_b=True)
+    cov = gram_matrix(xt, xt, model.params, model.form) - v.T @ v
+    prior = zero_distance_value(model.params, model.form)
+    variance = _clamped(prior - np.sum(np.multiply(v, v, out=v), axis=0))
+    np.fill_diagonal(cov, variance)
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
 
-def feature_grams(model: TrainedModel, x_test, *, train: bool = True) -> FeatureGrams:
-    """Feature Gram blocks for repeated posterior calls on ``x_test``."""
+def feature_grams(model: TrainedModel, x_test) -> FeatureGrams:
+    """Feature Gram blocks for repeated weighted posterior calls on ``x_test``."""
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     return FeatureGrams(
         cross=gram_matrix(xt, model.x, model.params, model.form),
-        train=gram_matrix(model.x, model.x, model.params, model.form) if train else None,
+        train=gram_matrix(model.x, model.x, model.params, model.form),
     )
 
 
@@ -587,26 +625,31 @@ def weighted_posterior_cov(
     the training ages stored in the model and the supplied chronological
     test ages. The fitted feature hyperparameters are reused unchanged; age
     parameters are a user choice, never optimized. With an infinite age
-    length scale and zero age noise the weighted training Gram equals the
-    unweighted one bitwise, so the model's own factorization is reused and
-    the result reproduces ``predict`` exactly. Otherwise the weighted
-    training Gram is factorized here, and a ``RuntimeWarning`` names the
-    jitter when it needed any.
+    length scale and zero age noise the weighting is the identity: the
+    weighted training Gram equals the unweighted one bitwise, so the
+    model's own factorization is reused and the result reproduces
+    ``predict`` exactly. Otherwise the weighted training Gram is factorized
+    once, before the test rows, and a ``RuntimeWarning`` names the jitter
+    when it needed any.
 
-    Only the variance diagonal is formed. Test rows are age-weighted,
-    solved and summed one row block at a time, so past the test-by-training
-    feature block and the m x m training work a call holds about two row
-    blocks. ``grams`` passes feature blocks from ``feature_grams`` for the
-    same ``x_test``, so a sweep over age parameters builds them once.
+    Without ``grams`` the test rows go through ``_posterior_pass``, which
+    builds their cross blocks one row block at a time and also returns
+    that pass's ``y_hat`` and unweighted variance, bitwise ``predict``'s;
+    at the identity weighting the weighted variance is the unweighted one,
+    with no second solve. ``grams`` passes feature blocks from
+    ``feature_grams`` for the same ``x_test``, so a sweep over age
+    parameters builds them once and each call only reweights and solves
+    the stored cross block.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     ages = _validated_targets(test_ages, xt.shape[0], "test_ages")
-    unweighted = math.isinf(age_params.age_length_scale)
-    k_star = _cross_block(model, xt, grams)
-    if unweighted and age_params.age_noise_variance == 0.0:
+    if grams is not None and grams.cross.shape != (xt.shape[0], model.n_training):
+        raise ValueError("grams were built for a different test set or model")
+    identity = math.isinf(age_params.age_length_scale) and age_params.age_noise_variance == 0.0
+    if identity:
         chol, jitter = model.chol, model.jitter
     else:
-        if grams is None or grams.train is None:
+        if grams is None:
             k_train = gram_matrix(model.x, model.x, model.params, model.form,
                                   age_params=age_params, ages_a=model.y, ages_b=model.y,
                                   same_set=True)
@@ -619,14 +662,16 @@ def weighted_posterior_cov(
         if jitter:
             message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-
-    def reweight(rows, block):
-        factor = age_factor(ages[rows], model.y, age_params)
-        return np.multiply(factor, block, out=factor)
-
-    variance, _ = _posterior_variance(
-        chol, k_star, zero_distance_value(model.params, model.form),
-        # at l_y = inf the age factor is exactly one
-        reweight=None if unweighted else reweight,
+    if grams is not None:
+        _, _, raw = _posterior_pass(model, xt, grams.cross, (chol, ages, age_params))
+        return WeightedCovariance(variance=_clamped(raw), jitter=jitter)
+    y_hat, raw, raw_weighted = _posterior_pass(
+        model, xt, weighting=None if identity else (chol, ages, age_params)
     )
-    return WeightedCovariance(variance=variance, jitter=jitter)
+    variance = _clamped(raw)
+    return WeightedCovariance(
+        variance=variance if identity else _clamped(raw_weighted),
+        jitter=jitter,
+        y_hat=y_hat,
+        unweighted_variance=variance,
+    )

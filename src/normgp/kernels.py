@@ -21,7 +21,9 @@ Each feature's term of either form is written once, in ``_feature_term``,
 and ``_feature_kernel`` adds the terms up into a form's kernel:
 ``gram_matrix`` applies it to row blocks of distances, and the fit's
 objective in ``gpr`` to the training rows' pairs, whose sum-form gradient
-pass calls ``_feature_term`` for each feature's exponential.
+pass calls ``_feature_term`` for each feature's exponential. Scoring in
+``gpr`` calls ``gram_matrix`` once per block of test rows, so no n x m
+test-by-training block is built except a sweep's, which it stores.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ import numpy as np
 SUM = "sum"
 PRODUCT = "product"
 FORMS = (SUM, PRODUCT)
-# Doubles in one row block (4 MiB): n x m work over test rows runs one block
-# of rows at a time. Smaller blocks hold less, but each block's triangular
-# solve re-reads the whole m x m factor, which costs time at large m.
+# Doubles in one row block of ``gram_matrix``'s fill (4 MiB): its scratch is
+# one block, and an entry's bits do not depend on the block size. The
+# posterior pass in ``gpr`` sizes its own blocks by rows (``_PASS_ROWS``),
+# because there each block's triangular solve re-reads the m x m factor.
 _BLOCK_ENTRIES = 2**19
 
 
@@ -45,10 +48,10 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown kernel form {form!r}; expected one of {FORMS}")
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices covering ``n_rows`` rows, each at most one block
-    of ``n_cols`` columns (at least one row)."""
-    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+def _row_blocks(n_rows: int, step: int) -> list[slice]:
+    """Consecutive row slices covering ``n_rows`` rows, each of at most
+    ``step`` rows (at least one)."""
+    step = max(1, step)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -215,7 +218,7 @@ def gram_matrix(
         raise ValueError("same_set=True requires square output")
 
     k = np.empty((a.shape[0], b.shape[0]))
-    blocks = _row_blocks(*k.shape)
+    blocks = _row_blocks(k.shape[0], _BLOCK_ENTRIES // max(k.shape[1], 1))
     buffer = np.empty((blocks[0].stop if blocks else 0, b.shape[0]))
     for rows in blocks:
         scratch = buffer[: rows.stop - rows.start]

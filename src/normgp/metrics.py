@@ -16,7 +16,6 @@ from .errors import SchemaError
 from .gpr import (
     FitConfig,
     TrainedModel,
-    feature_grams,
     fit,
     log_marginal_likelihood,
     predict,
@@ -75,17 +74,15 @@ def score_cohort(
     """
     cohort.require_feature_names(expected_feature_names)
     transformed = apply_chain(cohort.features, standardizer, pca)
-    # One test-by-training block serves both posteriors.
-    grams = feature_grams(model, transformed, train=False)
-    result = predict(model, transformed, grams=grams)
-    weighted = weighted_posterior_cov(model, transformed, cohort.age, age_params, grams=grams)
+    # One pass over the test rows gives all three columns.
+    weighted = weighted_posterior_cov(model, transformed, cohort.age, age_params)
     return ScoresTable(
         subject_ids=cohort.subject_ids,
         age=cohort.age,
         diagnosis=cohort.diagnosis or ("",) * cohort.n_subjects,
-        y_hat=result.y_hat,
-        epsilon=prediction_error(result.y_hat, cohort.age),
-        cov=result.variance,
+        y_hat=weighted.y_hat,
+        epsilon=prediction_error(weighted.y_hat, cohort.age),
+        cov=weighted.unweighted_variance,
         cov_w=weighted.variance,
     )
 

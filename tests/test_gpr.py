@@ -23,7 +23,7 @@ from normgp.gpr import (
     FitConfig,
     TrainedModel,
     _LmlObjective,
-    _posterior_variance,
+    _clamped,
     feature_grams,
     fit,
     log_marginal_likelihood,
@@ -540,20 +540,25 @@ def test_predict_matches_dense_oracle():
 
 
 def test_shared_grams_leave_predict_and_weighted_variance_bitwise_unchanged():
+    # a sweep's stored blocks and a call's own pass run the same row blocks
+    # through the same operations; the own pass's mean and plain variance
+    # are predict's
     rng = np.random.default_rng(23)
     x, y, x_test, ages_test, params, form = random_instance(rng, max_train=20, max_test=9)
     model = restore(x, y, params, form)
-    grams = feature_grams(model, x_test, train=False)
-    shared = predict(model, x_test, grams=grams)
-    own = predict(model, x_test)
-    assert np.array_equal(shared.y_hat, own.y_hat)
-    assert np.array_equal(shared.variance, own.variance)
-    for age_params in (AgeKernelParams(), AgeKernelParams(7.0, 0.1)):
-        weighted = weighted_posterior_cov(model, x_test, ages_test, age_params, grams=grams)
-        fresh = weighted_posterior_cov(model, x_test, ages_test, age_params)
-        assert np.array_equal(weighted.variance, fresh.variance)
+    grams = feature_grams(model, x_test)
+    plain = predict(model, x_test)
+    for age_params in (AgeKernelParams(), AgeKernelParams(math.inf, 0.2),
+                       AgeKernelParams(7.0, 0.1)):
+        shared = weighted_posterior_cov(model, x_test, ages_test, age_params, grams=grams)
+        own = weighted_posterior_cov(model, x_test, ages_test, age_params)
+        assert np.array_equal(shared.variance, own.variance)
+        assert shared.y_hat is None and shared.unweighted_variance is None
+        assert np.array_equal(own.y_hat, plain.y_hat)
+        assert np.array_equal(own.unweighted_variance, plain.variance)
     with pytest.raises(ValueError, match="different test set"):
-        predict(model, np.vstack([x_test, x_test]), grams=grams)
+        weighted_posterior_cov(model, np.vstack([x_test, x_test]), np.tile(ages_test, 2),
+                               AgeKernelParams(), grams=grams)
 
 
 def test_weighted_cov_matches_dense_oracle():
@@ -724,32 +729,36 @@ def test_full_cov_diagonal_equals_variance_exactly():
 
 
 def test_weighted_variance_holds_one_test_by_training_block():
-    # v is squared in place, so past its inputs a call holds one row block of
-    # the triangular solve (here all 2000 rows) and a few vectors, not a
-    # second n x m block
+    # with stored feature blocks, each row block of the cross block is
+    # solved on a copy that is squared in place, so past its inputs a call
+    # holds about one row block and a few vectors, not a second n x m block
+    import normgp.gpr as gpr
+
     rng = np.random.default_rng(23)
     n, m = 2000, 200
     x = rng.normal(size=(m, 3))
     model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(3), 0.5), SUM)
     x_test = rng.normal(size=(n, 3))
     ages = rng.uniform(20, 80, n)
-    grams = feature_grams(model, x_test, train=False)
+    grams = feature_grams(model, x_test)
     tracemalloc.start()
     try:
         weighted_posterior_cov(model, x_test, ages, AgeKernelParams(), grams=grams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * n * m * 8
+    assert peak < 2 * gpr._PASS_ROWS * m * 8 + 8 * n * 8
 
 
 @pytest.mark.parametrize("form", FORMS)
 def test_row_blocked_posteriors_match_one_block(form, monkeypatch):
-    # a test row's variance reads only its own row of k*, so solving a row
-    # block at a time agrees with solving every test row at once
+    # a test row's results read only its own row of k*, so a pass over row
+    # blocks agrees with one block of every test row
+    import normgp.gpr as gpr
+
     rng = np.random.default_rng(29)
     m, d = 64, 3
-    block = kernels._BLOCK_ENTRIES // m
+    block = gpr._PASS_ROWS
     x = rng.normal(size=(m, d))
     params = KernelParams(rng.uniform(0.5, 2.0, d), 0.3)
     model = restore(x, rng.uniform(20, 80, m), params, form, y_offset=50.0)
@@ -769,7 +778,7 @@ def test_row_blocked_posteriors_match_one_block(form, monkeypatch):
         return out
 
     blocked = posteriors()
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**62)
+    monkeypatch.setattr(gpr, "_PASS_ROWS", 2**62)
     whole = posteriors()
     for (y_hat, variance, weighted), (y_hat_1, variance_1, weighted_1) in zip(blocked, whole):
         assert np.array_equal(y_hat, y_hat_1)
@@ -782,9 +791,11 @@ def test_row_blocked_posteriors_match_one_block(form, monkeypatch):
 def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
     # past the prebuilt feature blocks: the m x m weighted training work and
     # about one row block of test rows at a time, however many test rows
+    import normgp.gpr as gpr
+
     rng = np.random.default_rng(31)
     m, d = 100, 3
-    n = 6 * (kernels._BLOCK_ENTRIES // m)
+    n = 40 * gpr._PASS_ROWS
     x = rng.normal(size=(m, d))
     model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(d), 0.5), SUM)
     x_test = rng.normal(size=(n, d))
@@ -796,9 +807,86 @@ def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row_block = kernels._BLOCK_ENTRIES * 8
+    row_block = gpr._PASS_ROWS * m * 8
     assert peak < 2 * row_block + 4 * m * m * 8 + 4 * n * 8
     assert peak < 0.2 * n * m * 8
+
+
+@st.composite
+def pass_cases(draw):
+    """A model, test rows and ages, an age weighting, and a small pass row count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(FORMS))
+    m, n, d = draw(st.integers(2, 30)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    x = rng.normal(size=(m, d)) * rng.uniform(0.5, 2.0)
+    params = KernelParams(rng.uniform(0.3, 3.0, d), rng.uniform(0.05, 0.5))
+    model = restore(x, rng.uniform(20.0, 80.0, m), params, form, y_offset=50.0)
+    weighting = draw(st.sampled_from(("identity", "age noise", "finite")))
+    age_params = {
+        "identity": AgeKernelParams(),
+        "age noise": AgeKernelParams(math.inf, rng.uniform(0.01, 0.3)),
+        "finite": AgeKernelParams(rng.uniform(2.0, 50.0), rng.uniform(0.0, 0.3)),
+    }[weighting]
+    x_test = rng.normal(size=(n, d))
+    if n > 1 and draw(st.booleans()):
+        x_test[-1] = x[0]  # a test row on a training row
+    ages = rng.uniform(20.0, 80.0, n)
+    return model, x_test, ages, age_params, draw(st.integers(1, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pass_cases(), data=st.data())
+def test_pass_scores_permute_with_the_test_rows(case, data):
+    # reordered rows land in other row blocks, which changes only the rounding
+    import normgp.gpr as gpr
+
+    model, x_test, ages, age_params, rows = case
+    order = np.array(data.draw(st.permutations(range(x_test.shape[0]))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpr, "_PASS_ROWS", rows)
+        base = weighted_posterior_cov(model, x_test, ages, age_params)
+        permuted = weighted_posterior_cov(model, x_test[order], ages[order], age_params)
+    for name in ("y_hat", "unweighted_variance", "variance"):
+        np.testing.assert_allclose(getattr(permuted, name), getattr(base, name)[order],
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pass_cases())
+def test_pass_variances_lie_between_zero_and_the_prior(case):
+    import normgp.gpr as gpr
+    from normgp.kernels import zero_distance_value
+
+    model, x_test, ages, age_params, rows = case
+    prior = zero_distance_value(model.params, model.form)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpr, "_PASS_ROWS", rows)
+        result = weighted_posterior_cov(model, x_test, ages, age_params)
+        stored = weighted_posterior_cov(model, x_test, ages, age_params,
+                                        grams=feature_grams(model, x_test))
+    for variance in (result.unweighted_variance, result.variance, stored.variance):
+        assert np.all(variance >= 0.0)
+        assert np.all(variance <= prior)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pass_cases())
+def test_pass_weighted_variance_is_the_plain_one_at_the_identity_weighting(case):
+    # at l_y = inf with no age noise the weighted kernel is the plain one
+    # bitwise, on the score's own pass and on a sweep's stored blocks alike
+    import normgp.gpr as gpr
+
+    model, x_test, ages, _, rows = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpr, "_PASS_ROWS", rows)
+        result = weighted_posterior_cov(model, x_test, ages, AgeKernelParams())
+        stored = weighted_posterior_cov(model, x_test, ages, AgeKernelParams(),
+                                        grams=feature_grams(model, x_test))
+        plain = predict(model, x_test)
+    assert np.array_equal(result.variance, result.unweighted_variance)
+    assert np.array_equal(stored.variance, result.variance)
+    assert np.array_equal(plain.variance, result.variance)
+    assert np.array_equal(plain.y_hat, result.y_hat)
 
 
 def test_restore_allocates_one_gram_block_and_a_row_block():
@@ -912,13 +1000,10 @@ def test_stable_cholesky_reports_attempted_ladder():
 
 
 def test_negative_variance_beyond_tolerance_is_an_error():
-    chol = np.eye(1)
-    k_star = np.array([[1.0]])
     with pytest.raises(NumericalError):
-        _posterior_variance(chol, k_star, 0.5)
+        _clamped(np.array([0.25, 0.5 - 1.0]))
     # within tolerance it clamps instead
-    variance, _ = _posterior_variance(chol, k_star, 1.0 - 1e-12)
-    assert variance[0] == 0.0
+    assert np.array_equal(_clamped(np.array([0.25, -1e-12])), [0.25, 0.0])
 
 
 def test_predict_dimension_mismatch():

@@ -1,11 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from normgp import metrics
+from normgp import gpr, metrics
 from normgp.errors import SchemaError
-from normgp.gpr import FitConfig, fit, predict, restore, weighted_posterior_cov
+from normgp.gpr import (
+    FitConfig,
+    feature_grams,
+    fit,
+    predict,
+    restore,
+    weighted_posterior_cov,
+)
 from normgp.kernels import SUM, AgeKernelParams, KernelParams
 from normgp.metrics import (
     cross_validated_quality,
@@ -107,6 +115,53 @@ def test_score_cohort_row_order_permutes_with_input():
     assert np.array_equal(permuted.epsilon, base.epsilon[perm])
     assert np.array_equal(permuted.cov, base.cov[perm])
     assert np.array_equal(permuted.cov_w, base.cov_w[perm])
+
+
+@pytest.mark.parametrize("rows", [5, None])
+def test_finite_ly_score_matches_the_sweep_path_and_predict(monkeypatch, rows):
+    # the score's one pass against a sweep's stored feature blocks, over
+    # several row blocks: 5-row blocks, or the default ones at 600 rows
+    if rows is not None:
+        monkeypatch.setattr(gpr, "_PASS_ROWS", rows)
+    model, cohort = _toy_model_and_cohort(n_test=23 if rows else 600)
+    age_params = AgeKernelParams(age_length_scale=12.0, age_noise_variance=0.2)
+    scores = score_cohort(model, cohort, age_params)
+    stored = weighted_posterior_cov(model, cohort.features, cohort.age, age_params,
+                                    grams=feature_grams(model, cohort.features))
+    np.testing.assert_allclose(scores.cov_w, stored.variance, rtol=1e-12, atol=0.0)
+    plain = predict(model, cohort.features)
+    assert np.array_equal(scores.y_hat, plain.y_hat)
+    assert np.array_equal(scores.cov, plain.variance)
+
+
+@pytest.mark.parametrize("age_params", [AgeKernelParams(), AgeKernelParams(10.0, 0.1)])
+def test_score_path_holds_about_one_row_block_past_the_factors(age_params):
+    # at n >> m: past the weighted training factor (when the weighting is
+    # not the identity) a score holds a row block's cross block and its
+    # Gram scratch, and O(n) vectors, never an n x m block
+    rng = np.random.default_rng(35)
+    m, n = 100, 20000
+    x = rng.normal(size=(m, 2))
+    model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(2), 0.5), SUM)
+    ages = rng.uniform(20, 80, n)
+    cohort = Cohort(
+        subject_ids=tuple(str(i) for i in range(n)),
+        features=rng.normal(size=(n, 2)),
+        feature_names=("f1", "f2"),
+        age=ages,
+        diagnosis=("HC",) * n,
+    )
+    score_cohort(model, cohort, age_params)  # scipy's imports are not counted
+    tracemalloc.start()
+    try:
+        score_cohort(model, cohort, age_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    factors = 0 if math.isinf(age_params.age_length_scale) else 2 * m * m * 8
+    row_block = gpr._PASS_ROWS * m * 8
+    assert peak < factors + 3 * row_block + 10 * n * 8
+    assert peak < 0.2 * n * m * 8
 
 
 def test_score_cohort_checks_feature_names():
