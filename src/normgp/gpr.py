@@ -11,9 +11,9 @@ with LAPACK ``dpotri`` and BLAS ``dsyr``, and recomputes the sum form's
 per-feature terms (``kernels._feature_term``) chunk by chunk for the
 gradient. Every factorization goes through ``stable_cholesky``, which runs
 LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
-transpose of ``restore``'s freshly built Gram, and the transpose of the
-weighted training Gram. Inference goes through a cached Cholesky
-factorization of the training Gram matrix — never an explicit inverse.
+transpose of ``restore``'s freshly built Gram, and the weighted training
+Gram. Inference goes through a cached Cholesky factorization of the
+training Gram matrix — never an explicit inverse.
 
 Scoring is one pass over blocks of ``_PASS_ROWS`` test rows
 (``_posterior_pass``): each block's test-by-training Gram block gives its
@@ -21,9 +21,10 @@ predictive mean, through scipy's BLAS ``dgemv``, and its posterior
 variance; the age-weighted variance reweights the same block by an age
 factor, reusing the fitted hyperparameters, and solves it against the
 weighted training factor, which is built once before the pass. Only the
-variance diagonal is formed, and no n x m block is stored. A sweep over
-age parameters instead builds the feature blocks once (``feature_grams``)
-and reweights the stored cross block at each point.
+variance diagonal is formed, and no n x m block is stored. The weighted
+training Gram reuses the Gram entries the model's factor keeps above its
+diagonal (``_weighted_training_factor``). A sweep over age parameters
+instead stores one cross block and reweights it at each point.
 
 scipy is imported inside the functions that factorize or solve, so a stage
 that never touches a Gram matrix never loads it.
@@ -143,9 +144,14 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
                 f"after escalating jitter to {attempted[-1]:.3e}",
                 attempted,
             )
-        for col in range(k.shape[0] - 1):
-            k[col + 1:, col] = k[col, col + 1:]
+        _mirror_upper(k)
         np.fill_diagonal(k, diagonal + jitter)
+
+
+def _mirror_upper(k: np.ndarray) -> None:
+    """Copy the strict upper triangle of square ``k`` into its strict lower one, in place."""
+    for col in range(k.shape[0] - 1):
+        k[col + 1:, col] = k[col, col + 1:]
 
 
 @dataclass(frozen=True)
@@ -215,27 +221,13 @@ class WeightedCovariance:
     ``jitter`` is the diagonal jitter of the weighted training factorization.
     A call that built its own cross blocks also returns its pass's
     predictive mean ``y_hat`` and ``unweighted_variance``, the plain
-    posterior variance; with stored ``grams`` both are ``None``.
+    posterior variance; with a stored ``cross`` block both are ``None``.
     """
 
     variance: np.ndarray
     jitter: float
     y_hat: np.ndarray | None = None
     unweighted_variance: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FeatureGrams:
-    """Unweighted feature-kernel blocks of test rows against a model's training rows.
-
-    ``cross`` is test-by-training; ``train`` is training-by-training without
-    the delta terms. The age-weighted kernel multiplies these by an age
-    factor, so one pair serves every age length scale for the same test
-    rows.
-    """
-
-    cross: np.ndarray
-    train: np.ndarray
 
 
 def _validated_features(x, n_features: int | None = None, name: str = "X") -> np.ndarray:
@@ -602,13 +594,21 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
 
-def feature_grams(model: TrainedModel, x_test) -> FeatureGrams:
-    """Feature Gram blocks for repeated weighted posterior calls on ``x_test``."""
-    xt = _validated_features(x_test, model.params.n_features, "X_test")
-    return FeatureGrams(
-        cross=gram_matrix(xt, model.x, model.params, model.form),
-        train=gram_matrix(model.x, model.x, model.params, model.form),
-    )
+def _weighted_training_factor(model: TrainedModel, age_params: AgeKernelParams):
+    """``stable_cholesky`` of the age-weighted training Gram matrix.
+
+    The weighted kernel is a Schur product (GPML section 4.2.4): off the
+    diagonal, its training Gram is ``age_factor(y, y)`` times the model's
+    training Gram, whose entries ``model.chol`` keeps bitwise above its
+    diagonal, even after jitter. So the age factor's m x m buffer becomes
+    the weighted Gram, mirrored from its upper triangle, and its factor.
+    """
+    # bitwise symmetric, so the transpose is the same matrix in Fortran order
+    k = age_factor(model.y, model.y, age_params).T
+    np.multiply(k, model.chol, out=k)
+    _mirror_upper(k)
+    np.fill_diagonal(k, prior_variance(model.params, model.form, age_params))
+    return stable_cholesky(k)
 
 
 def weighted_posterior_cov(
@@ -617,7 +617,7 @@ def weighted_posterior_cov(
     test_ages,
     age_params: AgeKernelParams,
     *,
-    grams: FeatureGrams | None = None,
+    cross: np.ndarray | None = None,
 ) -> WeightedCovariance:
     """Posterior variance under the age-weighted kernel.
 
@@ -628,42 +628,32 @@ def weighted_posterior_cov(
     length scale and zero age noise the weighting is the identity: the
     weighted training Gram equals the unweighted one bitwise, so the
     model's own factorization is reused and the result reproduces
-    ``predict`` exactly. Otherwise the weighted training Gram is factorized
-    once, before the test rows, and a ``RuntimeWarning`` names the jitter
-    when it needed any.
+    ``predict`` exactly. Otherwise ``_weighted_training_factor`` factorizes
+    the weighted training Gram once, before the test rows, and a
+    ``RuntimeWarning`` names the jitter when it needed any.
 
-    Without ``grams`` the test rows go through ``_posterior_pass``, which
+    Without ``cross`` the test rows go through ``_posterior_pass``, which
     builds their cross blocks one row block at a time and also returns
     that pass's ``y_hat`` and unweighted variance, bitwise ``predict``'s;
     at the identity weighting the weighted variance is the unweighted one,
-    with no second solve. ``grams`` passes feature blocks from
-    ``feature_grams`` for the same ``x_test``, so a sweep over age
-    parameters builds them once and each call only reweights and solves
-    the stored cross block.
+    with no second solve. ``cross`` passes the n x m block ``gram_matrix(
+    x_test, model.x, model.params, model.form)``, so a sweep over age
+    parameters builds it once and each call only reweights and solves it.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     ages = _validated_targets(test_ages, xt.shape[0], "test_ages")
-    if grams is not None and grams.cross.shape != (xt.shape[0], model.n_training):
-        raise ValueError("grams were built for a different test set or model")
+    if cross is not None and cross.shape != (xt.shape[0], model.n_training):
+        raise ValueError("cross was built for a different test set or model")
     identity = math.isinf(age_params.age_length_scale) and age_params.age_noise_variance == 0.0
     if identity:
         chol, jitter = model.chol, model.jitter
     else:
-        if grams is None:
-            k_train = gram_matrix(model.x, model.x, model.params, model.form,
-                                  age_params=age_params, ages_a=model.y, ages_b=model.y,
-                                  same_set=True)
-        else:
-            k_train = age_factor(model.y, model.y, age_params)
-            k_train *= grams.train
-            np.fill_diagonal(k_train, prior_variance(model.params, model.form, age_params))
-        # bitwise symmetric, so the transpose is factorized in place
-        chol, jitter = stable_cholesky(k_train.T)
+        chol, jitter = _weighted_training_factor(model, age_params)
         if jitter:
             message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-    if grams is not None:
-        _, _, raw = _posterior_pass(model, xt, grams.cross, (chol, ages, age_params))
+    if cross is not None:
+        _, _, raw = _posterior_pass(model, xt, cross, (chol, ages, age_params))
         return WeightedCovariance(variance=_clamped(raw), jitter=jitter)
     y_hat, raw, raw_weighted = _posterior_pass(
         model, xt, weighting=None if identity else (chol, ages, age_params)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpr import TrainedModel, feature_grams, weighted_posterior_cov
+from . import gpr
+from .gpr import TrainedModel, weighted_posterior_cov
 from .kernels import AgeKernelParams
 from .preprocess import PcaTransform, Standardizer, apply_chain
 from .tabular_io import Cohort, ScoresTable
@@ -268,9 +269,9 @@ def ly_sweep(
     """AUC of the age-weighted uncertainty across a grid of age length scales.
 
     The grid is deduplicated and evaluated in ascending order (infinity
-    last, which reproduces the unweighted uncertainty). The feature Gram
-    blocks are built once; each grid point only reweights them by age,
-    factorizes and solves.
+    last, which reproduces the unweighted uncertainty). The test-by-training
+    feature Gram block is built once; each grid point only reweights it by
+    age and solves it against that point's weighted training factor.
     """
     values = sorted({float(v) for v in grid})
     if not values:
@@ -286,13 +287,14 @@ def ly_sweep(
     transformed = apply_chain(cohort.features, standardizer, pca)[keep]
     ages = cohort.age[keep]
     labels = mask_positive[keep]
-    grams = feature_grams(model, transformed)
+    # through gpr's lookup, where the benchmark's tracer counts Gram builds
+    cross = gpr.gram_matrix(transformed, model.x, model.params, model.form)
     rows = []
     for value in values:
         age_params = AgeKernelParams(
             age_length_scale=value, age_noise_variance=age_noise_variance
         )
-        weighted = weighted_posterior_cov(model, transformed, ages, age_params, grams=grams)
+        weighted = weighted_posterior_cov(model, transformed, ages, age_params, cross=cross)
         rows.append((value, roc_auc(weighted.variance, labels).auc))
     best_l_y, best_auc = rows[0]
     for value, auc in rows[1:]:
@@ -319,6 +321,8 @@ def evaluate_scores(
     for name in metrics:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r} (choose from {METRIC_NAMES})")
+        if metrics.count(name) > 1:
+            raise ValueError(f"metric {name!r} is repeated")
     mask_negative, mask_positive = _two_group_masks(table.diagnosis, groups)
     keep = mask_negative | mask_positive
     labels = mask_positive[keep]

@@ -514,6 +514,22 @@ def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_evaluate_repeated_metric_exits_2(tmp_path, capsys):
+    # a repeated metric once printed its line twice and wrote it twice
+    # into the report's config beside one metrics entry
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        "id,age,diagnosis,y_hat,epsilon,cov,cov_w\n"
+        "a,50,HC,51,1,0.5,0.5\nb,60,DX,58,-2,0.6,0.7\n"
+    )
+    report = tmp_path / "e.json"
+    assert main(["evaluate", str(scores), "--out", str(report), "--metrics", "cov,cov"]) == 2
+    captured = capsys.readouterr()
+    assert "metric 'cov' is repeated" in captured.err
+    assert "AUC" not in captured.out
+    assert not report.exists()
+
+
 def test_synth_and_evaluate_run_without_loading_scipy(tmp_path):
     rng = np.random.default_rng(5)
     scores = tmp_path / "scores.csv"

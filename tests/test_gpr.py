@@ -24,7 +24,6 @@ from normgp.gpr import (
     TrainedModel,
     _LmlObjective,
     _clamped,
-    feature_grams,
     fit,
     log_marginal_likelihood,
     predict,
@@ -546,11 +545,11 @@ def test_shared_grams_leave_predict_and_weighted_variance_bitwise_unchanged():
     rng = np.random.default_rng(23)
     x, y, x_test, ages_test, params, form = random_instance(rng, max_train=20, max_test=9)
     model = restore(x, y, params, form)
-    grams = feature_grams(model, x_test)
+    cross = gram_matrix(x_test, model.x, model.params, model.form)
     plain = predict(model, x_test)
     for age_params in (AgeKernelParams(), AgeKernelParams(math.inf, 0.2),
                        AgeKernelParams(7.0, 0.1)):
-        shared = weighted_posterior_cov(model, x_test, ages_test, age_params, grams=grams)
+        shared = weighted_posterior_cov(model, x_test, ages_test, age_params, cross=cross)
         own = weighted_posterior_cov(model, x_test, ages_test, age_params)
         assert np.array_equal(shared.variance, own.variance)
         assert shared.y_hat is None and shared.unweighted_variance is None
@@ -558,7 +557,7 @@ def test_shared_grams_leave_predict_and_weighted_variance_bitwise_unchanged():
         assert np.array_equal(own.unweighted_variance, plain.variance)
     with pytest.raises(ValueError, match="different test set"):
         weighted_posterior_cov(model, np.vstack([x_test, x_test]), np.tile(ages_test, 2),
-                               AgeKernelParams(), grams=grams)
+                               AgeKernelParams(), cross=cross)
 
 
 def test_weighted_cov_matches_dense_oracle():
@@ -721,6 +720,37 @@ def test_extra_training_point_never_increases_variance():
         assert np.all(large <= small + 1e-10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(FORMS),
+       age_noise=st.sampled_from((0.0, 0.2)), repeat=st.booleans())
+def test_one_more_training_row_never_raises_a_variance(seed, form, age_noise, repeat):
+    # conditioning on one more observation can only shrink a Gaussian
+    # variance; the weighted kernel is a Schur product of two kernels, so
+    # the same holds for cov_w at fixed age parameters. Noise >= 1e-3 keeps
+    # both factorizations free of jitter.
+    from normgp.kernels import zero_distance_value
+
+    rng = np.random.default_rng(seed)
+    m, n, d = int(rng.integers(1, 20)), int(rng.integers(1, 10)), int(rng.integers(1, 4))
+    x = rng.normal(size=(m + 1, d)) * rng.uniform(0.5, 2.0)
+    y = rng.uniform(20.0, 80.0, m + 1)
+    if repeat:  # the extra row repeats a training row's features
+        x[m] = x[int(rng.integers(0, m))]
+    params = KernelParams(rng.uniform(0.3, 3.0, d), rng.uniform(1e-3, 0.5))
+    small = restore(x[:m], y[:m], params, form)
+    large = restore(x, y, params, form)
+    x_test = rng.normal(size=(n, d))
+    ages = rng.uniform(20.0, 80.0, n)
+    age_params = AgeKernelParams(rng.uniform(2.0, 50.0), age_noise)
+    tolerance = 1e-10 * zero_distance_value(params, form)
+    assert np.all(predict(large, x_test).variance
+                  <= predict(small, x_test).variance + tolerance)
+    weighted_small = weighted_posterior_cov(small, x_test, ages, age_params)
+    weighted_large = weighted_posterior_cov(large, x_test, ages, age_params)
+    assert weighted_small.jitter == weighted_large.jitter == 0.0
+    assert np.all(weighted_large.variance <= weighted_small.variance + tolerance)
+
+
 def test_full_cov_diagonal_equals_variance_exactly():
     rng = np.random.default_rng(19)
     x, y, x_test, _, params, form = random_instance(rng)
@@ -729,7 +759,7 @@ def test_full_cov_diagonal_equals_variance_exactly():
 
 
 def test_weighted_variance_holds_one_test_by_training_block():
-    # with stored feature blocks, each row block of the cross block is
+    # with a stored cross block, each of its row blocks is
     # solved on a copy that is squared in place, so past its inputs a call
     # holds about one row block and a few vectors, not a second n x m block
     import normgp.gpr as gpr
@@ -740,10 +770,10 @@ def test_weighted_variance_holds_one_test_by_training_block():
     model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(3), 0.5), SUM)
     x_test = rng.normal(size=(n, 3))
     ages = rng.uniform(20, 80, n)
-    grams = feature_grams(model, x_test)
+    cross = gram_matrix(x_test, model.x, model.params, model.form)
     tracemalloc.start()
     try:
-        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(), grams=grams)
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(), cross=cross)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -789,7 +819,7 @@ def test_row_blocked_posteriors_match_one_block(form, monkeypatch):
 
 
 def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
-    # past the prebuilt feature blocks: the m x m weighted training work and
+    # past the stored cross block: the m x m weighted training work and
     # about one row block of test rows at a time, however many test rows
     import normgp.gpr as gpr
 
@@ -800,10 +830,10 @@ def test_weighted_variance_at_finite_ly_holds_a_few_row_blocks():
     model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(d), 0.5), SUM)
     x_test = rng.normal(size=(n, d))
     ages = rng.uniform(20, 80, n)
-    grams = feature_grams(model, x_test)
+    cross = gram_matrix(x_test, model.x, model.params, model.form)
     tracemalloc.start()
     try:
-        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), grams=grams)
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), cross=cross)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -862,8 +892,8 @@ def test_pass_variances_lie_between_zero_and_the_prior(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpr, "_PASS_ROWS", rows)
         result = weighted_posterior_cov(model, x_test, ages, age_params)
-        stored = weighted_posterior_cov(model, x_test, ages, age_params,
-                                        grams=feature_grams(model, x_test))
+        cross = gram_matrix(x_test, model.x, model.params, model.form)
+        stored = weighted_posterior_cov(model, x_test, ages, age_params, cross=cross)
     for variance in (result.unweighted_variance, result.variance, stored.variance):
         assert np.all(variance >= 0.0)
         assert np.all(variance <= prior)
@@ -880,8 +910,8 @@ def test_pass_weighted_variance_is_the_plain_one_at_the_identity_weighting(case)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpr, "_PASS_ROWS", rows)
         result = weighted_posterior_cov(model, x_test, ages, AgeKernelParams())
-        stored = weighted_posterior_cov(model, x_test, ages, AgeKernelParams(),
-                                        grams=feature_grams(model, x_test))
+        cross = gram_matrix(x_test, model.x, model.params, model.form)
+        stored = weighted_posterior_cov(model, x_test, ages, AgeKernelParams(), cross=cross)
         plain = predict(model, x_test)
     assert np.array_equal(result.variance, result.unweighted_variance)
     assert np.array_equal(stored.variance, result.variance)
@@ -907,7 +937,7 @@ def test_restore_allocates_one_gram_block_and_a_row_block():
 
 
 def test_weighted_variance_at_finite_ly_adds_one_training_block():
-    # with prebuilt feature blocks the weighted training Gram is the only
+    # with a stored cross block the weighted training Gram is the only
     # m x m array made: the age factor, multiplied and factorized in place
     rng = np.random.default_rng(33)
     m, d, n = 1500, 3, 1000
@@ -915,14 +945,61 @@ def test_weighted_variance_at_finite_ly_adds_one_training_block():
     model = restore(x, rng.uniform(20, 80, m), KernelParams(np.ones(d), 0.5), SUM)
     x_test = rng.normal(size=(n, d))
     ages = rng.uniform(20, 80, n)
-    grams = feature_grams(model, x_test)
+    cross = gram_matrix(x_test, model.x, model.params, model.form)
     tracemalloc.start()
     try:
-        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), grams=grams)
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1), cross=cross)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < m * m * 8 + 2 * kernels._BLOCK_ENTRIES * 8 + 8 * (m + n) * 8
+
+
+def test_weighted_variance_at_finite_ly_builds_one_training_block():
+    # without a stored cross block: the weighted training Gram is made in
+    # the age factor's m x m buffer from the model's stored Gram entries and
+    # factorized there, so past the pass's row blocks a call holds one m x m
+    # block; a freshly built weighted Gram and its fill's scratch were two
+    rng = np.random.default_rng(35)
+    m, d, n = 600, 3, 64
+    model = restore(rng.normal(size=(m, d)), rng.uniform(20, 80, m),
+                    KernelParams(np.ones(d), 0.5), SUM)
+    x_test = rng.normal(size=(n, d))
+    ages = rng.uniform(20, 80, n)
+    tracemalloc.start()
+    try:
+        weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 + 3 * n * m * 8 + 64 * (m + n) * 8
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("jittered", [False, True], ids=["conditioned", "jittered"])
+def test_weighted_training_factor_is_the_weighted_gram_factor_bitwise(form, jittered):
+    # the age factor times the Gram entries the model's factor keeps above
+    # its diagonal is, bit for bit, the weighted Gram gram_matrix builds, so
+    # the two factors, and any jitter they need, agree in both triangles
+    import normgp.gpr as gpr
+
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(40, 3))
+    y = rng.uniform(20, 80, 40)
+    noise = 0.3
+    if jittered:  # repeated rows and ages at zero noise
+        x, y, noise = np.vstack([x, x[:10]]), np.concatenate([y, y[:10]]), 0.0
+    params = KernelParams(rng.uniform(0.5, 2.0, 3), noise)
+    model = restore(x, y, params, form)
+    assert (model.jitter > 0.0) == jittered
+    for age_params in (AgeKernelParams(0.1), AgeKernelParams(10.0), AgeKernelParams(1e5),
+                       AgeKernelParams(math.inf, 0.2)):
+        gram = gram_matrix(x, x, params, form, age_params=age_params, ages_a=y, ages_b=y,
+                           same_set=True)
+        expected, expected_jitter = stable_cholesky(gram.T)
+        chol, jitter = gpr._weighted_training_factor(model, age_params)
+        assert np.array_equal(chol, expected)
+        assert jitter == expected_jitter
 
 
 def _strict_upper(matrix):

@@ -65,8 +65,8 @@ def _model_and_cohort(n_test=23, seed=5):
 @pytest.mark.parametrize("age_params", [AgeKernelParams(), AgeKernelParams(10.0, 0.1)])
 def test_score_cohort_makes_one_weighted_call_and_a_gram_per_row_block(monkeypatch, age_params):
     # one weighted call gives all three columns; its pass builds each row
-    # block's cross block through gpr's own gram_matrix lookup, plus the
-    # weighted training Gram when the weighting is not the identity
+    # block's cross block through gpr's own gram_matrix lookup, and the
+    # weighted training Gram reuses the model's stored entries, no Gram build
     model, cohort = _model_and_cohort()
     monkeypatch.setattr(gpr, "_PASS_ROWS", 5)
     weighted = _counted(monkeypatch, metrics, "weighted_posterior_cov")
@@ -76,16 +76,16 @@ def test_score_cohort_makes_one_weighted_call_and_a_gram_per_row_block(monkeypat
     assert len(weighted) == 1
     assert predicted == []
     blocks = math.ceil(cohort.n_subjects / 5)
-    assert len(grams) == blocks + (0 if math.isinf(age_params.age_length_scale) else 1)
+    assert len(grams) == blocks
 
 
 def test_ly_sweep_makes_one_weighted_call_per_grid_point(monkeypatch):
-    # the feature blocks are built once, before the grid: a point reweights
-    # them and builds no Gram of its own
+    # the cross block is built once, before the grid: a point reweights it
+    # and the model's stored Gram entries, and builds no Gram of its own
     model, cohort = _model_and_cohort()
     weighted = _counted(monkeypatch, stats, "weighted_posterior_cov")
     grams = _counted(monkeypatch, gpr, "gram_matrix")
     result = stats.ly_sweep(model, cohort, (10.0, 1.0, 10.0, math.inf))
     assert len(result.rows) == 3
     assert len(weighted) == 3
-    assert len(grams) == 2
+    assert len(grams) == 1

@@ -8,13 +8,12 @@ from normgp import gpr, metrics
 from normgp.errors import SchemaError
 from normgp.gpr import (
     FitConfig,
-    feature_grams,
     fit,
     predict,
     restore,
     weighted_posterior_cov,
 )
-from normgp.kernels import SUM, AgeKernelParams, KernelParams
+from normgp.kernels import SUM, AgeKernelParams, KernelParams, gram_matrix
 from normgp.metrics import (
     cross_validated_quality,
     fit_warnings,
@@ -119,15 +118,15 @@ def test_score_cohort_row_order_permutes_with_input():
 
 @pytest.mark.parametrize("rows", [5, None])
 def test_finite_ly_score_matches_the_sweep_path_and_predict(monkeypatch, rows):
-    # the score's one pass against a sweep's stored feature blocks, over
+    # the score's one pass against a sweep's stored cross block, over
     # several row blocks: 5-row blocks, or the default ones at 600 rows
     if rows is not None:
         monkeypatch.setattr(gpr, "_PASS_ROWS", rows)
     model, cohort = _toy_model_and_cohort(n_test=23 if rows else 600)
     age_params = AgeKernelParams(age_length_scale=12.0, age_noise_variance=0.2)
     scores = score_cohort(model, cohort, age_params)
-    stored = weighted_posterior_cov(model, cohort.features, cohort.age, age_params,
-                                    grams=feature_grams(model, cohort.features))
+    cross = gram_matrix(cohort.features, model.x, model.params, model.form)
+    stored = weighted_posterior_cov(model, cohort.features, cohort.age, age_params, cross=cross)
     np.testing.assert_allclose(scores.cov_w, stored.variance, rtol=1e-12, atol=0.0)
     plain = predict(model, cohort.features)
     assert np.array_equal(scores.y_hat, plain.y_hat)

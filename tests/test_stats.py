@@ -1,9 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_midranks
 
@@ -240,6 +243,31 @@ def test_roc_invariant_under_monotone_transform():
     assert np.array_equal(base.tpr, warped.tpr)
 
 
+# scores in [-1e6, 1e6] away from the subnormal range, where a power of two
+# keeps every bit: a few distinct values, so ties are common
+_TIED_SCORES = st.lists(
+    st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+    min_size=1, max_size=8,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=_TIED_SCORES, data=st.data())
+def test_auc_and_rank_sum_p_are_bitwise_unchanged_by_maps_keeping_order_and_ties(scores, data):
+    # both read the scores only through their order and ties
+    scores = np.array(scores)
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=scores.size,
+                                         max_size=scores.size)))
+    labels[:2] = (False, True)  # both classes
+    power = 2.0 ** data.draw(st.integers(-60, 60))
+    base_auc = roc_auc(scores, labels).auc
+    base_p = rank_sum_test(scores[~labels], scores[labels]).p_value
+    dense = np.unique(scores, return_inverse=True)[1].astype(float)
+    for mapped in (dense, scores * power):
+        assert roc_auc(mapped, labels).auc == base_auc
+        assert rank_sum_test(mapped[~labels], mapped[labels]).p_value == base_p
+
+
 def test_roc_requires_both_classes():
     with pytest.raises(ValueError):
         roc_auc([1.0, 2.0], [1, 1])
@@ -435,6 +463,12 @@ def test_evaluate_scores_unknown_group_fails():
         evaluate_scores(table, ("HC", "DX"), ("not_a_metric",))
 
 
+def test_evaluate_scores_rejects_a_repeated_metric():
+    table = _scores_table()
+    with pytest.raises(ValueError, match="metric 'cov' is repeated"):
+        evaluate_scores(table, ("HC", "DX"), ("cov", "epsilon", "cov"))
+
+
 def test_evaluate_scores_constant_metric_reports_absent_correlation():
     table = _scores_table()
     constant = ScoresTable(
@@ -531,6 +565,33 @@ def test_ly_sweep_matches_fresh_weighted_posteriors_bitwise(monkeypatch):
                 ).variance
                 assert np.array_equal(variance, fresh)
                 assert row == (value, roc_auc(fresh, labels).auc)
+
+
+def test_ly_sweep_holds_the_cross_block_and_one_training_block():
+    # past the stored n x m cross block, a point holds the age factor's m x m
+    # buffer, which becomes the weighted training factor, and a row block or
+    # two of the pass; no stored m x m training block beside them
+    from normgp import gpr
+
+    rng = np.random.default_rng(37)
+    m, n, d = 800, 256, 3
+    model = restore(rng.normal(size=(m, d)), rng.uniform(20, 80, m),
+                    KernelParams(np.ones(d), 0.5), SUM)
+    cohort = Cohort(
+        subject_ids=tuple(f"t{i}" for i in range(n)),
+        features=rng.normal(size=(n, d)),
+        feature_names=("a", "b", "c"),
+        age=rng.uniform(20, 80, n),
+        diagnosis=tuple("DX" if i % 3 == 0 else "HC" for i in range(n)),
+    )
+    tracemalloc.start()
+    try:
+        ly_sweep(model, cohort, (1.0, 10.0, math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_block = min(n, gpr._PASS_ROWS) * m * 8
+    assert peak < n * m * 8 + m * m * 8 + 1.5 * row_block + 64 * (m + n) * 8
 
 
 def test_ly_sweep_grid_is_deduplicated_and_sorted():
