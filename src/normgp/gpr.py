@@ -594,7 +594,9 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
 
-def _weighted_training_factor(model: TrainedModel, age_params: AgeKernelParams):
+def _weighted_training_factor(
+    model: TrainedModel, age_params: AgeKernelParams
+) -> tuple[np.ndarray, float]:
     """``stable_cholesky`` of the age-weighted training Gram matrix.
 
     The weighted kernel is a Schur product (GPML section 4.2.4): off the
