@@ -494,14 +494,14 @@ def restore(
     )
 
 
-def _solve_variance(chol, block, prior: float, out: np.ndarray, overwrite: bool) -> None:
+def _solve_variance(chol, block, prior: float, out: np.ndarray) -> None:
     """``prior - |L^-1 k|^2`` for each row ``k`` of ``block``, unclamped, into ``out``.
 
-    ``overwrite`` lets the solve and its squares reuse ``block``'s memory.
+    The solve and its squares overwrite ``block``.
     """
     from scipy.linalg import solve_triangular
 
-    v = solve_triangular(chol, block.T, lower=True, check_finite=False, overwrite_b=overwrite)
+    v = solve_triangular(chol, block.T, lower=True, check_finite=False, overwrite_b=True)
     np.subtract(prior, np.sum(np.multiply(v, v, out=v), axis=0), out=out)
 
 
@@ -525,10 +525,9 @@ def _posterior_pass(model: TrainedModel, xt: np.ndarray, cross=None, weighting=N
     built block gives the block's ``y_hat`` and its variance, solved in
     place against ``model.chol``. ``weighting``, as ``(chol, ages,
     age_params)``, adds the age-weighted variance: the block times the age
-    factor, solved against the weighted training factor ``chol`` (at
-    ``l_y = inf`` the factor is exactly one and the block is solved as it
-    is). A test row's results read only its own row, so besides the
-    factors a pass holds about two row blocks, whatever the test rows.
+    factor, solved against the weighted training factor ``chol``. A test
+    row's results read only its own row, so besides the factors a pass
+    holds about two row blocks, whatever the test rows.
 
     Returns ``(y_hat, variance, weighted)``, the variances unclamped; what
     the pass does not form is ``None`` (a stored ``cross`` gives only
@@ -552,15 +551,12 @@ def _posterior_pass(model: TrainedModel, xt: np.ndarray, cross=None, weighting=N
             block = cross[rows]
         if weighting is not None:
             chol, ages, age_params = weighting
-            if math.isinf(age_params.age_length_scale):
-                _solve_variance(chol, block, prior, weighted[rows], overwrite=False)
-            else:
-                factor = age_factor(ages[rows], model.y, age_params)
-                np.multiply(factor, block, out=factor)
-                _solve_variance(chol, factor, prior, weighted[rows], overwrite=True)
-                del factor
+            factor = age_factor(ages[rows], model.y, age_params)
+            np.multiply(factor, block, out=factor)
+            _solve_variance(chol, factor, prior, weighted[rows])
+            del factor
         if own:
-            _solve_variance(model.chol, block, prior, variance[rows], overwrite=True)
+            _solve_variance(model.chol, block, prior, variance[rows])
         del block  # freed before the next block is made
     if own:
         y_hat += model.y_offset
@@ -573,23 +569,20 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
     The test-test prior is the noise-free kernel value k(x*, x*): the noise
     delta applies only inside the training Gram matrix, so for one training
     and one test point the variance is k(x*,x*) - k*^2/(k(x,x) + noise).
-    Without ``full_cov`` the test rows go through ``_posterior_pass``, one
-    row block at a time. With it they form one block, and the full
-    covariance's diagonal is set to the clamped variance vector exactly.
+    The mean and variance come from ``_posterior_pass``, one row block at a
+    time. ``full_cov`` adds ``K** - v'v`` from one solve of all test rows,
+    with its diagonal set to that variance exactly.
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
+    y_hat, raw, _ = _posterior_pass(model, xt)
+    variance = _clamped(raw)
     if not full_cov:
-        y_hat, raw, _ = _posterior_pass(model, xt)
-        return PredictionResult(y_hat=y_hat, variance=_clamped(raw))
+        return PredictionResult(y_hat=y_hat, variance=variance)
     from scipy.linalg import solve_triangular
-    from scipy.linalg.blas import dgemv
 
     k_star = gram_matrix(xt, model.x, model.params, model.form)
-    y_hat = dgemv(1.0, k_star.T, model.alpha, trans=1) + model.y_offset
     v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False, overwrite_b=True)
     cov = gram_matrix(xt, xt, model.params, model.form) - v.T @ v
-    prior = zero_distance_value(model.params, model.form)
-    variance = _clamped(prior - np.sum(np.multiply(v, v, out=v), axis=0))
     np.fill_diagonal(cov, variance)
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)
 
@@ -654,15 +647,11 @@ def weighted_posterior_cov(
         if jitter:
             message = f"the age-weighted training Gram matrix needed diagonal jitter {jitter:.3e}"
             warnings.warn(message, RuntimeWarning, stacklevel=2)
-    if cross is not None:
-        _, _, raw = _posterior_pass(model, xt, cross, (chol, ages, age_params))
-        return WeightedCovariance(variance=_clamped(raw), jitter=jitter)
-    y_hat, raw, raw_weighted = _posterior_pass(
-        model, xt, weighting=None if identity else (chol, ages, age_params)
-    )
-    variance = _clamped(raw)
+    weighting = None if identity and cross is None else (chol, ages, age_params)
+    y_hat, raw, raw_weighted = _posterior_pass(model, xt, cross, weighting)
+    variance = None if raw is None else _clamped(raw)
     return WeightedCovariance(
-        variance=variance if identity else _clamped(raw_weighted),
+        variance=variance if weighting is None else _clamped(raw_weighted),
         jitter=jitter,
         y_hat=y_hat,
         unweighted_variance=variance,

@@ -13,9 +13,9 @@ set against itself. An optional age-similarity factor
 
     s(y_i, y_j) = exp(-(y_i - y_j)^2 / (2 l_y^2)) + sigma_y^2 * delta
 
-turns either kernel into the age-weighted kernel ``k_w = s * k``. An
-infinite age length scale makes ``s`` identically one, recovering the
-unweighted kernel exactly (bitwise, not just approximately).
+turns either kernel into the age-weighted kernel ``k_w = s * k``. At an
+infinite age length scale ``age_factor`` fills exact ones for any ages,
+recovering the unweighted kernel exactly (bitwise, not just approximately).
 
 Each feature's term of either form is written once, in ``_feature_term``,
 and ``_feature_kernel`` adds the terms up into a form's kernel:
@@ -29,6 +29,7 @@ test-by-training block is built except a sweep's, which it stores.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,9 @@ class AgeKernelParams:
     def __post_init__(self):
         if not self.age_length_scale > 0:  # rejects nan too
             raise ValueError("age_length_scale must be > 0 (infinity allowed)")
+        if self.age_length_scale * self.age_length_scale < sys.float_info.min:
+            bound = math.sqrt(sys.float_info.min)  # equal ages would give 0 / -0.0
+            raise ValueError(f"age_length_scale {self.age_length_scale!r} is below {bound!r}")
         if not math.isfinite(self.age_noise_variance) or self.age_noise_variance < 0:
             raise ValueError("age_noise_variance must be finite and >= 0")
         object.__setattr__(self, "age_length_scale", float(self.age_length_scale))
@@ -132,11 +136,15 @@ def age_factor(ages_a, ages_b, age_params: AgeKernelParams, out=None) -> np.ndar
 
     The age-weighted Gram block is the unweighted feature block times this
     factor, so a feature block can be built once and reweighted for any
-    ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 (``exp(-0.0)``),
+    ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 for any finite ages,
     so the multiply is an exact no-op. ``out`` receives the factor in place.
     """
-    dy = np.subtract(ages_a[:, None], ages_b[None, :], out=out)
     ly = age_params.age_length_scale
+    if math.isinf(ly):
+        ones = np.empty((ages_a.shape[0], ages_b.shape[0])) if out is None else out
+        ones.fill(1.0)
+        return ones
+    dy = np.subtract(ages_a[:, None], ages_b[None, :], out=out)
     np.multiply(dy, dy, out=dy)
     np.divide(dy, -2.0 * ly * ly, out=dy)
     return np.exp(dy, out=dy)

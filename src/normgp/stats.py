@@ -276,9 +276,8 @@ def ly_sweep(
     values = sorted({float(v) for v in grid})
     if not values:
         raise ValueError("grid must be non-empty")
-    for value in values:
-        if not value > 0.0:
-            raise ValueError("age length scales must be positive (or infinite)")
+    # built first, so an invalid age parameter fails before the cross block
+    points = [AgeKernelParams(value, age_noise_variance) for value in values]
     if cohort.diagnosis is None:
         raise ValueError("cohort has no diagnosis labels")
     cohort.require_feature_names(expected_feature_names)
@@ -290,16 +289,11 @@ def ly_sweep(
     # through gpr's lookup, where the benchmark's tracer counts Gram builds
     cross = gpr.gram_matrix(transformed, model.x, model.params, model.form)
     rows = []
-    for value in values:
-        age_params = AgeKernelParams(
-            age_length_scale=value, age_noise_variance=age_noise_variance
-        )
+    for age_params in points:
         weighted = weighted_posterior_cov(model, transformed, ages, age_params, cross=cross)
-        rows.append((value, roc_auc(weighted.variance, labels).auc))
-    best_l_y, best_auc = rows[0]
-    for value, auc in rows[1:]:
-        if auc > best_auc:
-            best_l_y, best_auc = value, auc
+        rows.append((age_params.age_length_scale, roc_auc(weighted.variance, labels).auc))
+    # max keeps the first of tied rows: the smallest l_y
+    best_l_y, best_auc = max(rows, key=lambda row: row[1])
     return LySweepResult(rows=tuple(rows), best_l_y=best_l_y, best_auc=best_auc)
 
 

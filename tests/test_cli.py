@@ -1,19 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normgp
+from conftest import BENCH_SCORE_PARAMS
 from normgp import metrics
 from normgp.cli import main
+from normgp.gpr import restore
+from normgp.kernels import SUM
 from normgp.seeding import FOLDS, substream
+from normgp.synth import SynthConfig, generate_cohort
 from normgp.tabular_io import (
     Cohort,
     ScoresTable,
+    artifact_from_fit,
     load_cohort,
     load_scores,
     save_cohort,
+    save_model,
     save_scores,
 )
 
@@ -159,6 +168,61 @@ def test_score_with_finite_age_scale_differs(tmp_path):
     assert np.array_equal(a.cov, b.cov)
     assert not np.array_equal(a.cov_w, b.cov_w)
     assert np.all(b.cov_w >= b.cov - 1e-12)
+
+
+def test_age_length_scale_whose_square_underflows_exits_2(tmp_path, capsys):
+    # at l_y = 1e-200 the age factor of equal ages was 0 / -0.0 = nan
+    train = _synth(tmp_path)
+    test = _synth(tmp_path, name="test.csv", **{"--n-diseased": "20", "--seed": "10"})
+    model = _fit(tmp_path, train)
+    capsys.readouterr()
+    assert main(["score", str(model), str(train), "--out", str(tmp_path / "scores.csv"),
+                 "--age-length-scale", "1e-200"]) == 2
+    assert main(["sweep", str(model), str(test), "--out", str(tmp_path / "sweep.csv"),
+                 "--ly-grid", "10,1e-200"]) == 2
+    assert capsys.readouterr().err.count("age_length_scale 1e-200 is below") == 2
+    assert not (tmp_path / "scores.csv").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def _normgp(env, *argv):
+    result = subprocess.run([sys.executable, "-m", "normgp", *map(str, argv), "-q"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_fit_and_score_agree_across_blas_thread_counts(tmp_path):
+    # outputs are byte-identical only for one BLAS thread count; across
+    # counts the numbers may move only by rounding
+    train = _synth(tmp_path, **{"--n-healthy": "60", "--n-features": "8"})
+    normative = generate_cohort(SynthConfig(n_healthy=300, seed=21, trajectory_seed=1804))
+    fixed = restore(normative.features, normative.age, BENCH_SCORE_PARAMS, SUM,
+                    y_offset=float(np.mean(normative.age)))
+    model = tmp_path / "fixed.normgp"
+    save_model(artifact_from_fit(fixed, normative.feature_names), model)
+    test = tmp_path / "test.csv"
+    save_cohort(generate_cohort(SynthConfig(
+        n_healthy=200, n_diseased=200, deviation_mode="orthogonal", deviation_magnitude=4.0,
+        seed=22, trajectory_seed=1804,
+    )), test)
+    src = str(Path(normgp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / threads
+        out.mkdir()
+        _normgp(env, "fit", train, "--out", out / "fit.normgp", "--restarts", "2", "--folds", "3")
+        _normgp(env, "score", model, test, "--out", out / "inf.csv")
+        _normgp(env, "score", model, test, "--out", out / "ten.csv",
+                "--age-length-scale", "10", "--age-noise", "0.1")
+        report = json.loads((out / "fit.normgp.report.json").read_text())
+        runs[threads] = (report["model"]["log_marginal_likelihood"],
+                         [load_scores(out / name) for name in ("inf.csv", "ten.csv")])
+    (lml_1, scores_1), (lml_2, scores_2) = runs["1"], runs["2"]
+    assert lml_1 == pytest.approx(lml_2, rel=1e-12, abs=0.0)
+    for one, two in zip(scores_1, scores_2):
+        for name in ("y_hat", "cov", "cov_w"):
+            np.testing.assert_allclose(getattr(one, name), getattr(two, name), rtol=1e-9, atol=0.0)
 
 
 def test_fit_is_deterministic_byte_for_byte(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BENCH_SCORE_PARAMS,
     naive_gram,
     naive_kernel_value,
     naive_lml,
@@ -39,6 +40,7 @@ from normgp.kernels import (
     KernelParams,
     gram_matrix,
 )
+from normgp.synth import SynthConfig, generate_cohort
 
 
 def test_lml_single_point_closed_form():
@@ -756,6 +758,75 @@ def test_full_cov_diagonal_equals_variance_exactly():
     x, y, x_test, _, params, form = random_instance(rng)
     result = predict(restore(x, y, params, form), x_test, full_cov=True)
     assert np.array_equal(np.diagonal(result.full_cov), result.variance)
+
+
+@pytest.mark.parametrize("n", [600, 1500])
+def test_full_cov_mean_and_variance_are_the_pass_ones_bitwise(n):
+    # the benchmark's score model; full_cov once solved all test rows in one
+    # block with its own dgemv, which at this size moved a few variances,
+    # and y_hat, in the last bits
+    train = generate_cohort(SynthConfig(n_healthy=500, seed=10, trajectory_seed=1804))
+    test = generate_cohort(SynthConfig(
+        n_healthy=n // 2, n_diseased=n - n // 2, deviation_mode="orthogonal",
+        deviation_magnitude=4.0, seed=11, trajectory_seed=1804,
+    ))
+    model = restore(train.features, train.age, BENCH_SCORE_PARAMS, SUM,
+                    y_offset=float(np.mean(train.age)))
+    full = predict(model, test.features, full_cov=True)
+    plain = predict(model, test.features)
+    weighted = weighted_posterior_cov(model, test.features, test.age, AgeKernelParams())
+    for result in (plain, weighted):
+        assert np.array_equal(full.y_hat, result.y_hat)
+    assert np.array_equal(full.variance, plain.variance)
+    assert np.array_equal(full.variance, weighted.unweighted_variance)
+    assert np.array_equal(np.diagonal(full.full_cov), full.variance)
+
+
+def test_one_posterior_pass_per_predict_and_weighted_call(monkeypatch):
+    import normgp.gpr as gpr
+
+    calls = []
+    original = gpr._posterior_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gpr, "_posterior_pass", counted)
+    rng = np.random.default_rng(37)
+    x, y, x_test, ages_test, params, form = random_instance(rng)
+    model = restore(x, y, params, form)
+    cross = gram_matrix(x_test, model.x, model.params, model.form)
+    for call in (
+        lambda: predict(model, x_test),
+        lambda: predict(model, x_test, full_cov=True),
+        lambda: weighted_posterior_cov(model, x_test, ages_test, AgeKernelParams()),
+        lambda: weighted_posterior_cov(model, x_test, ages_test, AgeKernelParams(10.0, 0.1)),
+        lambda: weighted_posterior_cov(model, x_test, ages_test, AgeKernelParams(), cross=cross),
+    ):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+def test_weighted_variance_at_infinite_scale_ignores_the_ages():
+    # (1e200 - 40)^2 overflows; age_factor once divided it by -inf, and the
+    # nan weighted Gram raised ConditioningError. Only the age kernel reads
+    # the model's ages, so both models share one fit.
+    rng = np.random.default_rng(38)
+    x, y, x_test, ages_test, params, form = random_instance(rng)
+    fitted = restore(x, y, params, form)
+    age_params = AgeKernelParams(math.inf, 0.1)
+    results = []
+    for first_age in (1e200, 40.0):
+        ages = y.copy()
+        ages[0] = first_age
+        model = dataclasses.replace(fitted, y=ages)
+        results.append(weighted_posterior_cov(model, x_test, ages_test, age_params))
+    far, near = results
+    assert np.array_equal(far.variance, near.variance)
+    assert np.array_equal(far.unweighted_variance, near.unweighted_variance)
+    assert far.jitter == near.jitter
 
 
 def test_weighted_variance_holds_one_test_by_training_block():

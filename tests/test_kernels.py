@@ -119,6 +119,31 @@ def test_age_params_validation():
         AgeKernelParams(age_length_scale=10.0, age_noise_variance=math.inf)
 
 
+def test_age_length_scale_whose_square_underflows_is_rejected():
+    # below 2**-511 the square underflows to a subnormal or to zero, and
+    # equal ages gave 0 / -0.0 = nan
+    with pytest.raises(ValueError, match=r"age_length_scale 1e-200 is below 1\.49\d*e-154"):
+        AgeKernelParams(age_length_scale=1e-200)
+    with pytest.raises(ValueError):
+        AgeKernelParams(age_length_scale=math.nextafter(2.0**-511, 0.0))
+    AgeKernelParams(age_length_scale=2.0**-511)
+    equal = np.array([43.0, 43.0])
+    factor = kernels.age_factor(equal, equal, AgeKernelParams(age_length_scale=1e-150))
+    assert np.array_equal(factor, np.ones((2, 2)))
+
+
+def test_age_factor_at_infinite_scale_is_one_for_any_ages():
+    # (1e200 - 40)^2 overflows, and dividing it by -inf once gave nan
+    one = KernelParams(length_scales=np.ones(1))
+    ages = np.array([40.0, 1e200, -1e200])
+    infinite = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.1)
+    factor = kernels.age_factor(ages, ages[:2], infinite)
+    assert factor.shape == (3, 2) and np.all(factor == 1.0)
+    x = np.zeros((3, 1))
+    weighted = gram_matrix(x, x[:2], one, SUM, age_params=infinite, ages_a=ages, ages_b=ages[:2])
+    assert np.array_equal(weighted, gram_matrix(x, x[:2], one))
+
+
 def test_weighted_kernel_equal_ages_is_identity():
     kp = KernelParams(length_scales=np.array([1.5, 0.5]), noise_variance=0.1)
     ap = AgeKernelParams(age_length_scale=7.0)
