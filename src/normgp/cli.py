@@ -77,7 +77,10 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
 
 def _load_model_chain(path: str):
     artifact = tabular_io.load_model(path)
-    return artifact, tabular_io.to_trained_model(artifact)
+    try:
+        return artifact, tabular_io.to_trained_model(artifact)
+    except NumericalError as exc:
+        raise NumericalError(f"model {path}: {exc}") from exc
 
 
 def cmd_fit(args) -> int:

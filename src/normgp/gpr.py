@@ -12,8 +12,10 @@ per-feature terms (``kernels._feature_term``) chunk by chunk for the
 gradient. Every factorization goes through ``stable_cholesky``, which runs
 LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
 transpose of ``restore``'s freshly built Gram, and the weighted training
-Gram. Inference goes through a cached Cholesky factorization of the
-training Gram matrix — never an explicit inverse.
+Gram. Its callers fill the upper triangle and the diagonal, and it alone
+writes the lower triangle, mirrored from the upper one before each attempt.
+Inference goes through a cached Cholesky factorization of the training
+Gram matrix — never an explicit inverse.
 
 Scoring is one pass over blocks of ``_PASS_ROWS`` test rows
 (``_posterior_pass``): each block's test-by-training Gram block gives its
@@ -89,6 +91,8 @@ _PASS_ROWS = 256
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, escalating diagonal jitter on failure.
 
+    The matrix is the one held in ``matrix``'s upper triangle and diagonal;
+    its strict lower triangle is never read, so a caller need not fill it.
     A writable, Fortran-ordered float64 ``matrix`` is factorized in place
     with LAPACK ``dpotrf``; any other input is factorized on a Fortran copy
     and left unchanged. ``matrix.T`` of a C-ordered symmetric array is such
@@ -98,12 +102,13 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     (``solve_triangular(lower=True)``, ``dpotrs``/``dpotri`` with
     ``lower=1``, the log-diagonal).
 
-    The matrix is first factorized unmodified. On failure, jitter starting
-    at ``1e-10 * mean(diag)`` is added and escalated tenfold per attempt up
-    to ``1e-4 * mean(diag)``. Before each retry the lower triangle is
-    rebuilt from the strict upper one, which a lower ``dpotrf`` never
-    touches, and the diagonal is set to the saved one plus the jitter, so
-    each attempt factorizes exactly ``matrix + jitter * I``. After a
+    Before every attempt the lower triangle is rebuilt from the strict
+    upper one, which a lower ``dpotrf`` never touches; the finiteness check
+    runs after the first rebuild. The matrix is first factorized
+    unmodified. On failure, jitter starting at ``1e-10 * mean(diag)`` is
+    added and escalated tenfold per attempt up to ``1e-4 * mean(diag)``:
+    the diagonal is set to the saved one plus the jitter, so each attempt
+    factorizes exactly ``matrix + jitter * I``. After a
     ``ConditioningError`` the buffer's lower triangle is unspecified.
 
     Returns
@@ -124,6 +129,7 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     if not (k.flags.f_contiguous and k.flags.writeable):
         k = np.array(k, order="F")
     attempted: list[float] = []
+    _mirror_upper(k)
     # min and max propagate nan and +-inf without an m x m boolean temporary
     if k.size and not (math.isfinite(k.min()) and math.isfinite(k.max())):
         raise ConditioningError("matrix has non-finite entries", attempted)
@@ -258,12 +264,17 @@ def _params_from_log(theta: np.ndarray, n_features: int) -> KernelParams:
 
 
 def _lml_value(chol: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """``alpha = K^-1 y`` and the log marginal likelihood from the lower factor of K."""
+    """``alpha = K^-1 y`` and the log marginal likelihood from the lower factor of K.
+
+    Absurd but finite ages can make ``y' alpha`` overflow: the value is
+    then not finite, with no warning, and the callers check it.
+    """
     from scipy.linalg import cho_solve
 
     alpha = cho_solve((chol, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diagonal(chol))))
-    return alpha, float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return alpha, float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
 
 
 class _LmlObjective:
@@ -271,15 +282,17 @@ class _LmlObjective:
 
     Built once per fit from the training rows ``x``, the centred ages ``y``
     and the kernel form; each call at ``theta`` returns ``(value, gradient)``
-    (GPML Alg. 2.1 and eq. 5.9) and raises ConditioningError when the Gram
-    matrix cannot be factorized. The per-feature squared distances ``S_k``
-    between the rows ``i > j`` do not depend on the hyperparameters, so
-    every evaluation of every restart reuses them, together with the pair
-    kernel and one Fortran-ordered m x m Gram buffer. The kernel is computed
-    on the strict lower pairs only, which halves kernel work. ``_pairs`` is
+    (GPML Alg. 2.1 and eq. 5.9). It raises ConditioningError when the Gram
+    matrix cannot be factorized and NumericalError when the likelihood is
+    not finite. The per-feature squared distances ``S_k`` between the rows
+    ``i > j`` do not depend on the hyperparameters, so every evaluation of
+    every restart reuses them, together with the pair kernel and one
+    Fortran-ordered m x m Gram buffer. The kernel is computed on the strict
+    lower pairs only, which halves kernel work. ``_pairs`` is
     the boolean mask of the strict lower triangle: boolean indexing visits
     it in ``np.tril_indices`` order, the pairs' order, so it scatters the
-    pair kernel into both triangles and gathers the pair weights.
+    pair kernel into the buffer's upper triangle (through its transpose),
+    which ``stable_cholesky`` mirrors, and gathers the pair weights.
 
     An evaluation reads the pairs in two passes of ``_PAIR_CHUNK`` pairs,
     through one chunk-sized scratch array: the kernel pass fills the pair
@@ -312,12 +325,11 @@ class _LmlObjective:
         n_features = self._squared.shape[0]
         params = _params_from_log(theta, n_features)
         length_scales = params.length_scales
-        # The same-set Gram matrix, both triangles, factorized in place.
+        # The same-set Gram matrix's upper triangle, factorized in place.
         for chunk in self._chunks:
             scratch = self._scratch[: chunk.stop - chunk.start]
             _feature_kernel(self.form, self._squared[:, chunk], length_scales,
                             self._kernel[chunk], scratch)
-        self._gram[self._pairs] = self._kernel
         self._gram.T[self._pairs] = self._kernel
         np.fill_diagonal(self._gram, prior_variance(params, self.form))
         chol, _ = stable_cholesky(self._gram)
@@ -328,6 +340,8 @@ class _LmlObjective:
         k_inv, info = dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise ConditioningError(f"inverting the Cholesky factor failed (LAPACK info {info})")
+        if not math.isfinite(value):  # before dsyr squares an overflowing alpha
+            raise NumericalError("the log marginal likelihood is not finite")
         residual = dsyr(-1.0, alpha, lower=1, a=k_inv, overwrite_a=1)
         # 1/2 tr((alpha alpha' - K^-1) dK): dK is symmetric with a zero diagonal,
         # so the two triangles' halves add up to one sum over the lower pairs.
@@ -362,7 +376,8 @@ def _seeded_starts(x: np.ndarray, centered: np.ndarray, cfg: FitConfig) -> list[
     n_features = x.shape[1]
     feature_scale = x.std(axis=0)
     feature_scale = np.where(feature_scale > 0.0, feature_scale, 1.0)
-    y_var = float(np.var(centered))
+    with np.errstate(over="ignore"):  # absurd ages: the fit's objective fails instead
+        y_var = float(np.var(centered))
     if y_var <= 0.0:
         y_var = 1.0
     log_noise_init = math.log(max(_NOISE_VARIANCE_INIT_FACTOR * y_var, 1e-300))
@@ -419,7 +434,7 @@ def fit(
     def objective(theta):
         try:
             value, grad = lml(theta)
-        except ConditioningError:
+        except (ConditioningError, NumericalError):
             return _FAILURE_OBJECTIVE, np.zeros_like(theta)
         return -value, -grad
 
@@ -444,7 +459,8 @@ def fit(
     if outcomes[best_index][1] is None:
         raise ConditioningError(
             f"all {len(inits)} restarts failed: the training Gram matrix could "
-            "not be factorized at any visited hyperparameters"
+            "not be factorized, or gave a non-finite likelihood, at any visited "
+            "hyperparameters"
         )
     return restore(
         x, y, _params_from_log(outcomes[best_index][1], n_features), cfg.form,
@@ -469,7 +485,8 @@ def restore(
     The one place a TrainedModel is built: ``fit`` ends here at its chosen
     optimum, and a model file is rebuilt here from its stored pieces. The
     regression runs on ``y - y_offset``. ``restart_log_marginals`` defaults
-    to this model's own log marginal likelihood.
+    to this model's own log marginal likelihood. Raises NumericalError when
+    ``alpha`` or the log marginal likelihood is not finite.
     """
     _check_form(form)
     x = _validated_features(x, params.n_features)
@@ -479,6 +496,11 @@ def restore(
     # that stable_cholesky factorizes in place.
     chol, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True).T)
     alpha, value = _lml_value(chol, centered)
+    if not (math.isfinite(value) and np.all(np.isfinite(alpha))):
+        raise NumericalError(
+            "the log marginal likelihood is not finite; the largest centred "
+            f"training age is {float(np.max(np.abs(centered))):.3e} in magnitude"
+        )
     return TrainedModel(
         x=x,
         y=y,
@@ -596,12 +618,12 @@ def _weighted_training_factor(
     diagonal, its training Gram is ``age_factor(y, y)`` times the model's
     training Gram, whose entries ``model.chol`` keeps bitwise above its
     diagonal, even after jitter. So the age factor's m x m buffer becomes
-    the weighted Gram, mirrored from its upper triangle, and its factor.
+    the weighted Gram's upper triangle and diagonal, and then its factor;
+    its lower triangle, the factor times the age factor, is not read.
     """
     # bitwise symmetric, so the transpose is the same matrix in Fortran order
     k = age_factor(model.y, model.y, age_params).T
     np.multiply(k, model.chol, out=k)
-    _mirror_upper(k)
     np.fill_diagonal(k, prior_variance(model.params, model.form, age_params))
     return stable_cholesky(k)
 

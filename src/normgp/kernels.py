@@ -13,9 +13,12 @@ set against itself. An optional age-similarity factor
 
     s(y_i, y_j) = exp(-(y_i - y_j)^2 / (2 l_y^2)) + sigma_y^2 * delta
 
-turns either kernel into the age-weighted kernel ``k_w = s * k``. At an
-infinite age length scale ``age_factor`` fills exact ones for any ages,
-recovering the unweighted kernel exactly (bitwise, not just approximately).
+turns either kernel into the age-weighted kernel ``k_w = s * k``, a Schur
+product: a weighted Gram block is ``age_factor`` times the ``gram_matrix``
+block, and a same-set one has ``prior_variance(..., age_params)`` on its
+diagonal. At an infinite age length scale ``age_factor`` fills exact ones
+for any ages, recovering the unweighted kernel exactly (bitwise, not just
+approximately).
 
 Each feature's term of either form is written once, in ``_feature_term``,
 and ``_feature_kernel`` adds the terms up into a form's kernel:
@@ -131,20 +134,18 @@ def prior_variance(
     return value
 
 
-def age_factor(ages_a, ages_b, age_params: AgeKernelParams, out=None) -> np.ndarray:
+def age_factor(ages_a, ages_b, age_params: AgeKernelParams) -> np.ndarray:
     """Age-similarity factor ``exp(-(y_i - y_j)^2 / (2 l_y^2))`` without the delta term.
 
     The age-weighted Gram block is the unweighted feature block times this
     factor, so a feature block can be built once and reweighted for any
     ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 for any finite ages,
-    so the multiply is an exact no-op. ``out`` receives the factor in place.
+    so the multiply is an exact no-op.
     """
     ly = age_params.age_length_scale
     if math.isinf(ly):
-        ones = np.empty((ages_a.shape[0], ages_b.shape[0])) if out is None else out
-        ones.fill(1.0)
-        return ones
-    dy = np.subtract(ages_a[:, None], ages_b[None, :], out=out)
+        return np.ones((ages_a.shape[0], ages_b.shape[0]))
+    dy = np.subtract(ages_a[:, None], ages_b[None, :])
     np.multiply(dy, dy, out=dy)
     np.divide(dy, -2.0 * ly * ly, out=dy)
     return np.exp(dy, out=dy)
@@ -186,22 +187,14 @@ def _squared_distances(a, b, out):
 
 
 def gram_matrix(
-    a,
-    b,
-    params: KernelParams,
-    form: str = SUM,
-    *,
-    age_params: AgeKernelParams | None = None,
-    ages_a=None,
-    ages_b=None,
-    same_set: bool = False,
+    a, b, params: KernelParams, form: str = SUM, *, same_set: bool = False
 ) -> np.ndarray:
-    """Gram matrix of kernel values between the rows of ``a`` and ``b``.
+    """Gram matrix of feature-kernel values between the rows of ``a`` and ``b``.
 
     ``same_set=True`` asserts that ``a`` and ``b`` are the identical sample
-    set, which places the delta (noise) terms on the diagonal. Ages must be
-    supplied iff ``age_params`` is given; the result is then the
-    age-weighted Gram matrix.
+    set, which places the delta (noise) terms on the diagonal. The
+    age-weighted kernel is not built here: its blocks are this block times
+    ``age_factor``.
 
     Distances are accumulated per feature dimension, never through a
     squared-norm expansion, so near-duplicate rows do not cancel
@@ -212,16 +205,6 @@ def gram_matrix(
     _check_form(form)
     a = _as_matrix(a, params.n_features, "a")
     b = _as_matrix(b, params.n_features, "b")
-    if age_params is not None and (ages_a is None or ages_b is None):
-        raise ValueError("the age-weighted kernel requires ages for both row sets")
-    if age_params is None and (ages_a is not None or ages_b is not None):
-        raise ValueError("ages were supplied but no age_params; unweighted kernels ignore ages")
-
-    if age_params is not None:
-        ya = np.atleast_1d(np.asarray(ages_a, dtype=float))
-        yb = np.atleast_1d(np.asarray(ages_b, dtype=float))
-        if ya.shape[0] != a.shape[0] or yb.shape[0] != b.shape[0]:
-            raise ValueError("age vectors must match the corresponding row counts")
     if same_set and a.shape[0] != b.shape[0]:
         raise ValueError("same_set=True requires square output")
 
@@ -230,12 +213,9 @@ def gram_matrix(
     buffer = np.empty((blocks[0].stop if blocks else 0, b.shape[0]))
     for rows in blocks:
         scratch = buffer[: rows.stop - rows.start]
-        block = _feature_kernel(form, _squared_distances(a[rows], b, scratch),
-                                params.length_scales, k[rows], scratch)
-        if age_params is not None:
-            block *= age_factor(ya[rows], yb, age_params, out=scratch)
+        _feature_kernel(form, _squared_distances(a[rows], b, scratch),
+                        params.length_scales, k[rows], scratch)
 
     if same_set:
-        np.fill_diagonal(k, prior_variance(params, form, age_params))
+        np.fill_diagonal(k, prior_variance(params, form))
     return k
-

@@ -31,7 +31,9 @@ from normgp.kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
+    age_factor,
     gram_matrix,
+    prior_variance,
 )
 from normgp.metrics import score_cohort
 from normgp.stats import (
@@ -145,15 +147,13 @@ def test_criterion_4_kernel_gram_properties(capsys):
             noise_variance=float(rng.uniform(0.0, 0.5)),
         )
         form = SUM if i % 2 == 0 else PRODUCT
-        if rng.random() < 0.5:
-            gram = gram_matrix(x, x, params, form, same_set=True)
-        else:
+        gram = gram_matrix(x, x, params, form, same_set=True)
+        if rng.random() >= 0.5:
+            # the age-weighted kernel is the Schur product s * k
             ages = rng.uniform(20.0, 80.0, size=n)
-            gram = gram_matrix(
-                x, x, params, form,
-                age_params=random_age_params(rng), ages_a=ages, ages_b=ages,
-                same_set=True,
-            )
+            age_params = random_age_params(rng)
+            gram *= age_factor(ages, ages, age_params)
+            np.fill_diagonal(gram, prior_variance(params, form, age_params))
         symmetric = symmetric and np.array_equal(gram, gram.T)
         eigenvalues = np.linalg.eigvalsh(gram)
         min_ratio = min(min_ratio, float(eigenvalues[0] / eigenvalues[-1]))

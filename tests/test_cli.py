@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from normgp.tabular_io import (
     ScoresTable,
     artifact_from_fit,
     load_cohort,
+    load_model,
     load_scores,
     save_cohort,
     save_model,
@@ -181,6 +184,39 @@ def test_age_length_scale_whose_square_underflows_exits_2(tmp_path, capsys):
     assert main(["sweep", str(model), str(test), "--out", str(tmp_path / "sweep.csv"),
                  "--ly-grid", "10,1e-200"]) == 2
     assert capsys.readouterr().err.count("age_length_scale 1e-200 is below") == 2
+    assert not (tmp_path / "scores.csv").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_absurd_but_finite_ages_are_a_numerical_failure(tmp_path, capsys):
+    # one age of 1e200 overflows y' alpha, so no model exists at any
+    # hyperparameters: each command exits 3, with no warning on the way
+    train = _synth(tmp_path, **{"--n-healthy": "80"})
+    cohort = load_cohort(train)
+    ages = cohort.age.copy()
+    ages[3] = 1e200
+    absurd = tmp_path / "absurd.csv"
+    save_cohort(dataclasses.replace(cohort, age=ages), absurd)
+    model = _fit(tmp_path, train)
+    artifact = load_model(model)
+    bad = tmp_path / "bad.normgp"
+    save_model(dataclasses.replace(artifact, training_ages=ages), bad)
+    capsys.readouterr()
+    runs = (
+        ["fit", str(absurd), "--out", str(tmp_path / "absurd.normgp"),
+         "--restarts", "1", "--folds", "2"],
+        ["score", str(bad), str(train), "--out", str(tmp_path / "scores.csv")],
+        ["sweep", str(bad), str(train), "--out", str(tmp_path / "sweep.csv")],
+    )
+    for argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "RuntimeWarning" not in err
+        if argv[0] != "fit":
+            assert f"model {bad}: the log marginal likelihood is not finite" in err
+    assert not any(tmp_path.glob("absurd.normgp*"))
     assert not (tmp_path / "scores.csv").exists() and not (tmp_path / "sweep.csv").exists()
 
 

@@ -38,7 +38,9 @@ from normgp.kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
+    age_factor,
     gram_matrix,
+    prior_variance,
 )
 from normgp.synth import SynthConfig, generate_cohort
 
@@ -286,7 +288,8 @@ def test_failed_factor_inversion_is_a_conditioning_error(monkeypatch):
     import normgp.gpr as gpr
 
     def singular_factor(matrix, **_):
-        chol = np.linalg.cholesky(matrix)
+        # the objective fills only the upper triangle and the diagonal
+        chol = np.linalg.cholesky(np.triu(matrix) + np.triu(matrix, 1).T)
         chol[1, 1] = 0.0
         return np.asfortranarray(chol), 0.0
 
@@ -1050,7 +1053,7 @@ def test_weighted_variance_at_finite_ly_builds_one_training_block():
 @pytest.mark.parametrize("jittered", [False, True], ids=["conditioned", "jittered"])
 def test_weighted_training_factor_is_the_weighted_gram_factor_bitwise(form, jittered):
     # the age factor times the Gram entries the model's factor keeps above
-    # its diagonal is, bit for bit, the weighted Gram gram_matrix builds, so
+    # its diagonal is, bit for bit, the age factor times a fresh Gram, so
     # the two factors, and any jitter they need, agree in both triangles
     import normgp.gpr as gpr
 
@@ -1065,8 +1068,8 @@ def test_weighted_training_factor_is_the_weighted_gram_factor_bitwise(form, jitt
     assert (model.jitter > 0.0) == jittered
     for age_params in (AgeKernelParams(0.1), AgeKernelParams(10.0), AgeKernelParams(1e5),
                        AgeKernelParams(math.inf, 0.2)):
-        gram = gram_matrix(x, x, params, form, age_params=age_params, ages_a=y, ages_b=y,
-                           same_set=True)
+        gram = age_factor(y, y, age_params) * gram_matrix(x, x, params, form, same_set=True)
+        np.fill_diagonal(gram, prior_variance(params, form, age_params))
         expected, expected_jitter = stable_cholesky(gram.T)
         chol, jitter = gpr._weighted_training_factor(model, age_params)
         assert np.array_equal(chol, expected)
@@ -1120,6 +1123,28 @@ def test_stable_cholesky_jittered_factor_is_scipy_cholesky_of_the_shifted_matrix
         assert np.shares_memory(chol, matrix)  # factorized in place
     else:
         assert np.array_equal(matrix, gram)
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["conditioned", "jittered"])
+def test_stable_cholesky_reads_only_the_upper_triangle_and_diagonal(jittered):
+    # callers fill the upper triangle and the diagonal; whatever the strict
+    # lower triangle holds, the factor is the clean symmetric matrix's
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(30, 3))
+    noise = 0.2
+    if jittered:  # repeated rows at zero noise
+        x, noise = np.vstack([x, x[:10]]), 0.0
+    params = KernelParams(np.array([0.6, 1.4, 0.9]), noise)
+    gram = gram_matrix(x, x, params, SUM, same_set=True)
+    expected, expected_jitter = stable_cholesky(gram.copy().T)
+    assert (expected_jitter > 0.0) == jittered
+    garbage = np.asfortranarray(gram)
+    lower = np.tril_indices(gram.shape[0], -1)
+    garbage[lower] = rng.choice([np.nan, np.inf, -np.inf, -1e300, 0.0, 7.0], lower[0].size)
+    chol, jitter = stable_cholesky(garbage)
+    assert np.shares_memory(chol, garbage)  # factorized in place
+    assert np.array_equal(chol, expected)
+    assert jitter == expected_jitter
 
 
 @pytest.mark.parametrize("case", ["c_order", "read_only", "fortran_read_only"])

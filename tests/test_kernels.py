@@ -15,19 +15,28 @@ from normgp.kernels import (
     SUM,
     AgeKernelParams,
     KernelParams,
+    age_factor,
     gram_matrix,
     prior_variance,
     zero_distance_value,
 )
 
 
-def kernel_entry(x_i, x_j, params, form=SUM, age_params=None, y_i=None, y_j=None):
+def kernel_entry(x_i, x_j, params, form=SUM):
     """One cross-block entry of ``gram_matrix``: the kernel between two rows."""
-    ages = {} if age_params is None else {"ages_a": [y_i], "ages_b": [y_j]}
-    block = gram_matrix(
-        np.atleast_2d(x_i), np.atleast_2d(x_j), params, form, age_params=age_params, **ages
+    return float(gram_matrix(np.atleast_2d(x_i), np.atleast_2d(x_j), params, form)[0, 0])
+
+
+def weighted_gram(a, b, params, form, age_params, ages_a, ages_b, same_set=False):
+    """The age-weighted Gram as the Schur product ``age_factor * gram_matrix``;
+    a same-set one carries ``prior_variance(..., age_params)`` on its diagonal."""
+    ages_a, ages_b = np.asarray(ages_a, dtype=float), np.asarray(ages_b, dtype=float)
+    gram = age_factor(ages_a, ages_b, age_params) * gram_matrix(
+        a, b, params, form, same_set=same_set
     )
-    return float(block[0, 0])
+    if same_set:
+        np.fill_diagonal(gram, prior_variance(params, form, age_params))
+    return gram
 
 
 def test_zero_distance_sum_form_counts_features():
@@ -90,21 +99,23 @@ def test_age_similarity_examples():
     # one feature at zero distance has kernel 1, so the weighted entry is
     # the age-similarity factor itself
     one = KernelParams(length_scales=np.ones(1))
-    x = np.zeros(1)
+    x = np.zeros((1, 1))
+
+    def entry(age_params, y_i, y_j):
+        return float(weighted_gram(x, x, one, SUM, age_params, [y_i], [y_j])[0, 0])
+
     params = AgeKernelParams(age_length_scale=10.0)
-    assert kernel_entry(x, x, one, SUM, params, 43.0, 43.0) == 1.0
-    assert kernel_entry(x, x, one, SUM, params, 40.0, 50.0) == pytest.approx(
-        math.exp(-0.5), abs=1e-12
-    )
-    assert kernel_entry(x, x, one, SUM, params, 40.0, 50.0) == pytest.approx(
+    assert entry(params, 43.0, 43.0) == 1.0
+    assert entry(params, 40.0, 50.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert entry(params, 40.0, 50.0) == pytest.approx(
         naive_age_similarity(40.0, 50.0, params), abs=1e-15
     )
     infinite = AgeKernelParams(age_length_scale=math.inf)
-    assert kernel_entry(x, x, one, SUM, infinite, 20.0, 80.0) == 1.0
+    assert entry(infinite, 20.0, 80.0) == 1.0
     noisy = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.3)
-    same = gram_matrix(
-        np.zeros((2, 1)), np.zeros((2, 1)), one, SUM,
-        age_params=noisy, ages_a=[20.0, 80.0], ages_b=[20.0, 80.0], same_set=True,
+    same = weighted_gram(
+        np.zeros((2, 1)), np.zeros((2, 1)), one, SUM, noisy, [20.0, 80.0], [20.0, 80.0],
+        same_set=True,
     )
     assert np.allclose(np.diagonal(same), 1.3, rtol=0.0, atol=1e-15)
     assert same[0, 1] == 1.0
@@ -128,7 +139,7 @@ def test_age_length_scale_whose_square_underflows_is_rejected():
         AgeKernelParams(age_length_scale=math.nextafter(2.0**-511, 0.0))
     AgeKernelParams(age_length_scale=2.0**-511)
     equal = np.array([43.0, 43.0])
-    factor = kernels.age_factor(equal, equal, AgeKernelParams(age_length_scale=1e-150))
+    factor = age_factor(equal, equal, AgeKernelParams(age_length_scale=1e-150))
     assert np.array_equal(factor, np.ones((2, 2)))
 
 
@@ -137,10 +148,10 @@ def test_age_factor_at_infinite_scale_is_one_for_any_ages():
     one = KernelParams(length_scales=np.ones(1))
     ages = np.array([40.0, 1e200, -1e200])
     infinite = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.1)
-    factor = kernels.age_factor(ages, ages[:2], infinite)
+    factor = age_factor(ages, ages[:2], infinite)
     assert factor.shape == (3, 2) and np.all(factor == 1.0)
     x = np.zeros((3, 1))
-    weighted = gram_matrix(x, x[:2], one, SUM, age_params=infinite, ages_a=ages, ages_b=ages[:2])
+    weighted = weighted_gram(x, x[:2], one, SUM, infinite, ages, ages[:2])
     assert np.array_equal(weighted, gram_matrix(x, x[:2], one))
 
 
@@ -149,7 +160,7 @@ def test_weighted_kernel_equal_ages_is_identity():
     ap = AgeKernelParams(age_length_scale=7.0)
     a = np.array([[0.3, -0.7], [2.0, 0.4]])
     b = np.array([[1.1, 0.2], [-0.5, 0.9], [0.3, -0.7]])
-    weighted = gram_matrix(a, b, kp, age_params=ap, ages_a=[55.0] * 2, ages_b=[55.0] * 3)
+    weighted = weighted_gram(a, b, kp, SUM, ap, [55.0] * 2, [55.0] * 3)
     assert np.array_equal(weighted, gram_matrix(a, b, kp))
 
 
@@ -158,8 +169,8 @@ def test_weighted_kernel_product_example():
     # of separation multiplies by exp(-1/2)
     kp = KernelParams(length_scales=np.ones(3))
     ap = AgeKernelParams(age_length_scale=10.0)
-    x = np.array([0.0, 1.0, 2.0])
-    value = kernel_entry(x, x, kp, SUM, ap, 40.0, 50.0)
+    x = np.array([[0.0, 1.0, 2.0]])
+    value = float(weighted_gram(x, x, kp, SUM, ap, [40.0], [50.0])[0, 0])
     assert value == pytest.approx(3.0 * math.exp(-0.5), abs=1e-12)
     assert value == pytest.approx(1.8196, abs=1e-4)
 
@@ -174,9 +185,7 @@ def test_weighted_kernel_bound():
         x = rng.normal(size=(6, 4))
         ages = rng.uniform(20, 80, 6)
         for form in FORMS:
-            weighted = gram_matrix(
-                x, x, kp, form, age_params=ap, ages_a=ages, ages_b=ages, same_set=True
-            )
+            weighted = weighted_gram(x, x, kp, form, ap, ages, ages, same_set=True)
             bound = factor * gram_matrix(x, x, kp, form, same_set=True)
             assert np.all(weighted <= bound + 1e-12)
 
@@ -208,9 +217,7 @@ def test_gram_matches_scalar_oracle(form):
 
     ap = AgeKernelParams(age_length_scale=12.0, age_noise_variance=0.05)
     ages = rng.uniform(20, 80, 5)
-    weighted = gram_matrix(
-        x, x, params, form, age_params=ap, ages_a=ages, ages_b=ages, same_set=True
-    )
+    weighted = weighted_gram(x, x, params, form, ap, ages, ages, same_set=True)
     expected_w = naive_gram(x, x, params, form, ap, ages, ages, same_set=True)
     assert np.allclose(weighted, expected_w, atol=1e-15)
 
@@ -236,9 +243,7 @@ def test_gram_positive_semidefinite(form):
         ap = AgeKernelParams(age_length_scale=float(rng.uniform(3, 40)))
         for gram in (
             gram_matrix(x, x, params, form, same_set=True),
-            gram_matrix(
-                x, x, params, form, age_params=ap, ages_a=ages, ages_b=ages, same_set=True
-            ),
+            weighted_gram(x, x, params, form, ap, ages, ages, same_set=True),
         ):
             eigenvalues = np.linalg.eigvalsh(gram)
             assert eigenvalues.min() >= -1e-8 * eigenvalues.max()
@@ -268,9 +273,7 @@ def test_weighted_gram_infinite_scale_equals_unweighted_exactly():
     ages = rng.uniform(20, 80, 8)
     ap = AgeKernelParams(age_length_scale=math.inf, age_noise_variance=0.0)
     plain = gram_matrix(x, x, params, SUM, same_set=True)
-    weighted = gram_matrix(
-        x, x, params, SUM, age_params=ap, ages_a=ages, ages_b=ages, same_set=True
-    )
+    weighted = weighted_gram(x, x, params, SUM, ap, ages, ages, same_set=True)
     assert np.array_equal(plain, weighted)
 
 
@@ -305,7 +308,7 @@ def test_gram_cross_blocks_match_naive_oracle(form):
     ages_a = rng.uniform(20, 80, 7)
     ages_b = rng.uniform(20, 80, 9)
     for ap in (AgeKernelParams(9.0, 0.2), AgeKernelParams(math.inf, 0.0)):
-        weighted = gram_matrix(a, b, params, form, age_params=ap, ages_a=ages_a, ages_b=ages_b)
+        weighted = weighted_gram(a, b, params, form, ap, ages_a, ages_b)
         expected = naive_gram(a, b, params, form, ap, ages_a, ages_b)
         assert np.allclose(weighted, expected, rtol=1e-14, atol=0.0)
 
@@ -318,16 +321,14 @@ def test_gram_matrix_keeps_one_scratch_block(form):
     params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 12))
     a = rng.normal(size=(300, 12))
     b = rng.normal(size=(200, 12))
-    ages_a, ages_b = rng.uniform(20, 80, 300), rng.uniform(20, 80, 200)
     block = 300 * 200 * 8
-    for kwargs in ({}, {"age_params": AgeKernelParams(10.0), "ages_a": ages_a, "ages_b": ages_b}):
-        tracemalloc.start()
-        try:
-            gram_matrix(a, b, params, form, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block
+    tracemalloc.start()
+    try:
+        gram_matrix(a, b, params, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * block
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -338,16 +339,9 @@ def test_row_blocked_gram_matrix_is_bitwise_one_block(form, monkeypatch):
     b = rng.normal(size=(64, 3))
     block = kernels._BLOCK_ENTRIES // b.shape[0]
     a = rng.normal(size=(block + 1, 3))
-    ages_a, ages_b = rng.uniform(20, 80, block + 1), rng.uniform(20, 80, 64)
 
     def grams():
-        out = []
-        for n in (1, block - 1, block, block + 1):
-            out.append(gram_matrix(a[:n], b, params, form))
-            for age_params in (AgeKernelParams(10.0, 0.2), AgeKernelParams(math.inf)):
-                out.append(gram_matrix(a[:n], b, params, form, age_params=age_params,
-                                       ages_a=ages_a[:n], ages_b=ages_b))
-        return out
+        return [gram_matrix(a[:n], b, params, form) for n in (1, block - 1, block, block + 1)]
 
     blocked = grams()
     monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**62)
@@ -362,23 +356,22 @@ def test_gram_matrix_holds_its_result_and_one_row_block(form):
     b = rng.normal(size=(100, 5))
     n = 6 * (kernels._BLOCK_ENTRIES // b.shape[0])
     a = rng.normal(size=(n, 5))
-    ages_a, ages_b = rng.uniform(20, 80, n), rng.uniform(20, 80, 100)
     result = n * b.shape[0] * 8
-    for kwargs in ({}, {"age_params": AgeKernelParams(10.0), "ages_a": ages_a, "ages_b": ages_b}):
-        tracemalloc.start()
-        try:
-            gram_matrix(a, b, params, form, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < result + 2 * kernels._BLOCK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        gram_matrix(a, b, params, form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < result + 2 * kernels._BLOCK_ENTRIES * 8
 
 
 @pytest.mark.parametrize("form", FORMS)
 def test_pair_distance_gram_is_the_lower_triangle_of_gram_matrix(form):
-    # the fit's objective fills its Fortran Gram buffer from the pair kernel;
-    # dpotrf and dpotri write only the lower triangle, so after one call the
-    # strict upper triangle still holds the Gram that gram_matrix builds
+    # the fit's objective fills its Fortran Gram buffer's upper triangle from
+    # the pair kernel; stable_cholesky, dpotrf and dpotri write only the lower
+    # triangle, so after one call the strict upper triangle still holds the
+    # Gram that gram_matrix builds
     rng = np.random.default_rng(20)
     params = KernelParams(length_scales=rng.uniform(0.5, 2.0, 5), noise_variance=0.4)
     x = rng.normal(size=(11, 5))
