@@ -28,8 +28,10 @@ training Gram reuses the Gram entries the model's factor keeps above its
 diagonal (``_weighted_training_factor``). A sweep over age parameters
 instead stores one cross block and reweights it at each point.
 
-scipy is imported inside the functions that factorize or solve, so a stage
-that never touches a Gram matrix never loads it.
+LAPACK and BLAS come from ``_lapack``, which loads scipy's two compiled
+modules and not the ``scipy.linalg`` package; it is imported inside the
+functions that factorize or solve, so a stage that never touches a Gram
+matrix loads no scipy at all. Only ``fit`` imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     a buffer. The factor follows ``scipy.linalg.cho_factor``: its lower
     triangle is the factor, and its strict upper triangle keeps the
     matrix's own entries, so its consumers read the lower triangle only
-    (``solve_triangular(lower=True)``, ``dpotrs``/``dpotri`` with
-    ``lower=1``, the log-diagonal).
+    (``dtrtrs``, ``dpotrs`` and ``dpotri`` with ``lower=1``, the
+    log-diagonal).
 
     Before every attempt the lower triangle is rebuilt from the strict
     upper one, which a lower ``dpotrf`` never touches; the finiteness check
@@ -121,7 +123,7 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     ConditioningError
         When every attempt fails; carries the attempted jitter ladder.
     """
-    from scipy.linalg.lapack import dpotrf
+    from ._lapack import dpotrf
 
     k = np.asarray(matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -269,9 +271,11 @@ def _lml_value(chol: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     Absurd but finite ages can make ``y' alpha`` overflow: the value is
     then not finite, with no warning, and the callers check it.
     """
-    from scipy.linalg import cho_solve
+    from ._lapack import dpotrs
 
-    alpha = cho_solve((chol, True), y, check_finite=False)
+    alpha, info = dpotrs(chol, y, lower=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dpotrs failed (info {info})")
     half_logdet = float(np.sum(np.log(np.diagonal(chol))))
     with np.errstate(over="ignore", invalid="ignore"):
         return alpha, float(-0.5 * (y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_TWO_PI)
@@ -319,8 +323,7 @@ class _LmlObjective:
         self._gram = np.empty((m, m), order="F")
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        from scipy.linalg.blas import dsyr
-        from scipy.linalg.lapack import dpotri
+        from ._lapack import dpotri, dsyr
 
         n_features = self._squared.shape[0]
         params = _params_from_log(theta, n_features)
@@ -516,14 +519,26 @@ def restore(
     )
 
 
+def _solve_lower(chol, b: np.ndarray) -> np.ndarray:
+    """``L^-1 b`` for the lower factor in ``chol``, in place when ``b`` is Fortran-ordered.
+
+    This is the ``dtrtrs`` call ``scipy.linalg.solve_triangular`` makes for
+    a Fortran-ordered factor.
+    """
+    from ._lapack import dtrtrs
+
+    v, info = dtrtrs(chol, b, lower=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dtrtrs failed (info {info})")
+    return v
+
+
 def _solve_variance(chol, block, prior: float, out: np.ndarray) -> None:
     """``prior - |L^-1 k|^2`` for each row ``k`` of ``block``, unclamped, into ``out``.
 
     The solve and its squares overwrite ``block``.
     """
-    from scipy.linalg import solve_triangular
-
-    v = solve_triangular(chol, block.T, lower=True, check_finite=False, overwrite_b=True)
+    v = _solve_lower(chol, block.T)
     np.subtract(prior, np.sum(np.multiply(v, v, out=v), axis=0), out=out)
 
 
@@ -555,7 +570,7 @@ def _posterior_pass(model: TrainedModel, xt: np.ndarray, cross=None, weighting=N
     the pass does not form is ``None`` (a stored ``cross`` gives only
     ``weighted``).
     """
-    from scipy.linalg.blas import dgemv
+    from ._lapack import dgemv
 
     n = xt.shape[0]
     prior = zero_distance_value(model.params, model.form)
@@ -600,10 +615,8 @@ def predict(model: TrainedModel, x_test, *, full_cov: bool = False) -> Predictio
     variance = _clamped(raw)
     if not full_cov:
         return PredictionResult(y_hat=y_hat, variance=variance)
-    from scipy.linalg import solve_triangular
-
     k_star = gram_matrix(xt, model.x, model.params, model.form)
-    v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False, overwrite_b=True)
+    v = _solve_lower(model.chol, k_star.T)
     cov = gram_matrix(xt, xt, model.params, model.form) - v.T @ v
     np.fill_diagonal(cov, variance)
     return PredictionResult(y_hat=y_hat, variance=variance, full_cov=cov)

@@ -140,13 +140,15 @@ def age_factor(ages_a, ages_b, age_params: AgeKernelParams) -> np.ndarray:
     The age-weighted Gram block is the unweighted feature block times this
     factor, so a feature block can be built once and reweighted for any
     ``l_y``. At ``l_y = inf`` every entry is exactly 1.0 for any finite ages,
-    so the multiply is an exact no-op.
+    so the multiply is an exact no-op. An absurd but finite age gap whose
+    square overflows to +inf gets a factor of exactly 0, its limit.
     """
     ly = age_params.age_length_scale
     if math.isinf(ly):
         return np.ones((ages_a.shape[0], ages_b.shape[0]))
-    dy = np.subtract(ages_a[:, None], ages_b[None, :])
-    np.multiply(dy, dy, out=dy)
+    with np.errstate(over="ignore"):
+        dy = np.subtract(ages_a[:, None], ages_b[None, :])
+        np.multiply(dy, dy, out=dy)
     np.divide(dy, -2.0 * ly * ly, out=dy)
     return np.exp(dy, out=dy)
 

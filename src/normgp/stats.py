@@ -177,10 +177,14 @@ def pearson_r(a, b) -> float:
         raise ValueError("need at least 2 points")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs contain non-finite values")
-    da = a - a.mean()
-    db = b - b.mean()
-    ss_a = float(da @ da)
-    ss_b = float(db @ db)
+    # absurd but finite values overflow the sums of squares to +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = a - a.mean()
+        db = b - b.mean()
+        ss_a = float(da @ da)
+        ss_b = float(db @ db)
+    if not (math.isfinite(ss_a) and math.isfinite(ss_b)):
+        raise ValueError("a sum of squares overflows; the correlation is not defined")
     if ss_a == 0.0 or ss_b == 0.0:
         raise ValueError("constant input has no defined correlation")
     r = float(da @ db) / math.sqrt(ss_a * ss_b)

@@ -220,6 +220,44 @@ def test_absurd_but_finite_ages_are_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "scores.csv").exists() and not (tmp_path / "sweep.csv").exists()
 
 
+def test_absurd_but_finite_test_ages_score_and_evaluate_without_warnings(tmp_path, capsys):
+    # one test age of 1e200 overflowed age_factor's squared gap and
+    # pearson_r's sums of squares, each with a RuntimeWarning; the row's
+    # age factor is now exactly 0, so its cov_w is the prior, and the
+    # correlations with epsilon are undefined
+    train = _synth(tmp_path, **{"--n-healthy": "40", "--n-features": "3"})
+    test = _synth(tmp_path, name="test.csv",
+                  **{"--n-features": "3", "--n-diseased": "20", "--seed": "10"})
+    model = _fit(tmp_path, train)
+    cohort = load_cohort(test)
+    ages = cohort.age.copy()
+    ages[5] = 1e200
+    absurd = tmp_path / "absurd.csv"
+    save_cohort(dataclasses.replace(cohort, age=ages), absurd)
+    capsys.readouterr()
+    runs = (
+        ["score", str(model), str(absurd), "--out", str(tmp_path / "absurd-scores.csv"),
+         "--age-length-scale", "10"],
+        ["score", str(model), str(test), "--out", str(tmp_path / "scores.csv"),
+         "--age-length-scale", "10"],
+        ["sweep", str(model), str(absurd), "--out", str(tmp_path / "sweep.csv")],
+        ["evaluate", str(tmp_path / "absurd-scores.csv"), "--out", str(tmp_path / "e.json")],
+    )
+    for argv in runs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "-q"]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Warning" not in capsys.readouterr().err
+    far, near = (load_scores(tmp_path / name) for name in ("absurd-scores.csv", "scores.csv"))
+    assert far.cov_w[5] == 3.0
+    others = np.arange(far.cov_w.shape[0]) != 5
+    assert np.array_equal(far.cov_w[others], near.cov_w[others])
+    correlations = json.loads((tmp_path / "e.json").read_text())["correlations"]
+    assert correlations["epsilon_cov"] is None and correlations["epsilon_cov_w"] is None
+    assert correlations["cov_cov_w"] is not None
+
+
 def _normgp(env, *argv):
     result = subprocess.run([sys.executable, "-m", "normgp", *map(str, argv), "-q"],
                             env=env, capture_output=True, text=True)
@@ -656,6 +694,29 @@ def test_synth_and_evaluate_run_without_loading_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "e.json").read_text())["groups"]["n_positive"] == 10
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_score_and_sweep_run_without_loading_the_scipy_linalg_package(tmp_path, command):
+    # LAPACK and BLAS come from scipy's compiled modules alone; the
+    # scipy.linalg package's set-up imports numpy.f2py and numpy.testing
+    train = _synth(tmp_path)
+    test = _synth(tmp_path, name="test.csv", **{"--n-diseased": "20", "--seed": "10"})
+    model = _fit(tmp_path, train)
+    argv = [command, str(model), str(test), "--out", str(tmp_path / "out.csv"), "-q"]
+    if command == "score":
+        argv += ["--age-length-scale", "10"]
+    heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+    code = (
+        "import atexit, runpy, sys; "
+        f"atexit.register(lambda: print(sorted(m for m in {heavy!r} if m in sys.modules))); "
+        f"sys.argv = ['normgp', *{argv!r}]; "
+        "runpy.run_module('normgp', run_name='__main__', alter_sys=True)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out.csv").exists()
 
 
 def test_no_arguments_exits_2(capsys):

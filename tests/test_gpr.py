@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -1177,6 +1179,49 @@ def test_negative_variance_beyond_tolerance_is_an_error():
         _clamped(np.array([0.25, 0.5 - 1.0]))
     # within tolerance it clamps instead
     assert np.array_equal(_clamped(np.array([0.25, -1e-12])), [0.25, 0.0])
+
+
+def test_lapack_routines_are_scipy_linalg_s_own_objects():
+    # _lapack loads scipy's compiled modules without the scipy.linalg
+    # package, which a later import reuses rather than loading them again
+    code = (
+        "import sys; from normgp import _lapack; "
+        "assert 'scipy.linalg' not in sys.modules; "
+        "import scipy.linalg.blas, scipy.linalg.lapack; "
+        "print(scipy.linalg.lapack.dpotrf is _lapack.dpotrf, "
+        "scipy.linalg.lapack.dtrtrs is _lapack.dtrtrs, scipy.linalg.blas.dgemv is _lapack.dgemv)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True", "True"]
+
+
+def test_missing_lapack_extension_modules_name_the_directory_searched():
+    code = (
+        "import scipy; scipy.__file__ = '/nowhere/scipy/__init__.py'; "
+        "from normgp import _lapack"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "ImportError: scipy extension module _flapack not found in /nowhere/scipy/linalg" \
+        in result.stderr
+
+
+@pytest.mark.parametrize("routine", ["dtrtrs", "dpotrs"])
+def test_a_failed_triangular_or_cholesky_solve_is_a_numerical_error(monkeypatch, routine):
+    # cannot happen after a successful dpotrf, but a nonzero info is checked
+    from normgp import _lapack
+
+    rng = np.random.default_rng(23)
+    x, y, x_test, _, params, form = random_instance(rng)
+    model = restore(x, y, params, form)
+    solve = getattr(_lapack, routine)
+    monkeypatch.setattr(_lapack, routine, lambda *args, **kwargs: (solve(*args, **kwargs)[0], 1))
+    with pytest.raises(NumericalError, match=routine):
+        if routine == "dtrtrs":
+            predict(model, x_test)
+        else:
+            restore(x, y, params, form)
 
 
 def test_predict_dimension_mismatch():
