@@ -12,8 +12,10 @@ per-feature terms (``kernels._feature_term``) chunk by chunk for the
 gradient. Every factorization goes through ``stable_cholesky``, which runs
 LAPACK ``dpotrf`` in place on a Fortran buffer: the fit's buffer, the
 transpose of ``restore``'s freshly built Gram, and the weighted training
-Gram. Its callers fill the upper triangle and the diagonal, and it alone
-writes the lower triangle, mirrored from the upper one before each attempt.
+Gram. Its argument is a writable, Fortran-ordered float64 square buffer,
+factorized in place; anything else is a ``ValueError``, never a copy. Its
+callers fill the upper triangle and the diagonal, and it alone writes the
+lower triangle, mirrored from the upper one before each attempt.
 Inference goes through a cached Cholesky factorization of the training
 Gram matrix — never an explicit inverse.
 
@@ -93,16 +95,16 @@ _PASS_ROWS = 256
 def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, escalating diagonal jitter on failure.
 
-    The matrix is the one held in ``matrix``'s upper triangle and diagonal;
-    its strict lower triangle is never read, so a caller need not fill it.
-    A writable, Fortran-ordered float64 ``matrix`` is factorized in place
-    with LAPACK ``dpotrf``; any other input is factorized on a Fortran copy
-    and left unchanged. ``matrix.T`` of a C-ordered symmetric array is such
-    a buffer. The factor follows ``scipy.linalg.cho_factor``: its lower
-    triangle is the factor, and its strict upper triangle keeps the
-    matrix's own entries, so its consumers read the lower triangle only
-    (``dtrtrs``, ``dpotrs`` and ``dpotri`` with ``lower=1``, the
-    log-diagonal).
+    ``matrix`` must be a writable, Fortran-ordered float64 square buffer,
+    and it is factorized in place with LAPACK ``dpotrf``; anything else is
+    a ``ValueError``, and nothing is ever copied. ``matrix.T`` of a
+    C-ordered symmetric array is such a buffer. The matrix is the one held
+    in the buffer's upper triangle and diagonal; its strict lower triangle
+    is never read, so a caller need not fill it. The factor follows
+    ``scipy.linalg.cho_factor``: its lower triangle is the factor, and its
+    strict upper triangle keeps the matrix's own entries, so its consumers
+    read the lower triangle only (``dtrtrs``, ``dpotrs`` and ``dpotri``
+    with ``lower=1``, the log-diagonal).
 
     Before every attempt the lower triangle is rebuilt from the strict
     upper one, which a lower ``dpotrf`` never touches; the finiteness check
@@ -120,16 +122,17 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
 
     Raises
     ------
+    ValueError
+        When ``matrix`` is not such a buffer; it is left unchanged.
     ConditioningError
         When every attempt fails; carries the attempted jitter ladder.
     """
     from ._lapack import dpotrf
 
-    k = np.asarray(matrix, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("matrix must be square")
-    if not (k.flags.f_contiguous and k.flags.writeable):
-        k = np.array(k, order="F")
+    k = matrix
+    if not (isinstance(k, np.ndarray) and k.dtype == np.float64 and k.ndim == 2
+            and k.shape[0] == k.shape[1] and k.flags.f_contiguous and k.flags.writeable):
+        raise ValueError("matrix must be a writable, Fortran-ordered float64 square array")
     attempted: list[float] = []
     _mirror_upper(k)
     # min and max propagate nan and +-inf without an m x m boolean temporary
@@ -203,10 +206,6 @@ class TrainedModel:
     y_offset: float = 0.0
     restart_log_marginals: tuple[float, ...] = ()
     chosen_restart: int = 0
-
-    def __post_init__(self):
-        for name in ("x", "y", "chol", "alpha"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def n_training(self) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,12 @@ def pearson_r(a, b) -> float:
         raise ValueError("a sum of squares overflows; the correlation is not defined")
     if ss_a == 0.0 or ss_b == 0.0:
         raise ValueError("constant input has no defined correlation")
-    r = float(da @ db) / math.sqrt(ss_a * ss_b)
+    product = ss_a * ss_b
+    if sys.float_info.min <= product < math.inf:
+        norm = math.sqrt(product)
+    else:  # the product over- or underflows at absurd but finite scales
+        norm = math.sqrt(ss_a) * math.sqrt(ss_b)
+    r = float(da @ db) / norm
     return max(-1.0, min(1.0, r))
 
 

@@ -258,6 +258,30 @@ def test_absurd_but_finite_test_ages_score_and_evaluate_without_warnings(tmp_pat
     assert correlations["cov_cov_w"] is not None
 
 
+def test_evaluate_correlates_tiny_variances(tmp_path):
+    # the product of the two sums of squares (each below 1e-199) underflowed
+    # to 0, and pearson_r divided by its square root
+    rng = np.random.default_rng(41)
+    cov = rng.uniform(0.5, 1.5, 40) * 1e-100
+    scores = tmp_path / "scores.csv"
+    save_scores(
+        ScoresTable(
+            subject_ids=tuple(f"s{i}" for i in range(40)),
+            age=rng.uniform(20, 80, 40),
+            diagnosis=("HC",) * 20 + ("DX",) * 20,
+            y_hat=rng.uniform(20, 80, 40),
+            epsilon=rng.normal(size=40),
+            cov=cov,
+            cov_w=1.5 * cov,
+        ),
+        scores,
+    )
+    report = tmp_path / "e.json"
+    assert main(["evaluate", str(scores), "--out", str(report), "-q"]) == 0
+    correlations = json.loads(report.read_text())["correlations"]
+    assert abs(correlations["cov_cov_w"] - 1.0) <= 1e-12
+
+
 def _normgp(env, *argv):
     result = subprocess.run([sys.executable, "-m", "normgp", *map(str, argv), "-q"],
                             env=env, capture_output=True, text=True)

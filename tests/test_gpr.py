@@ -159,7 +159,7 @@ def test_shared_distances_evaluation_matches_public_functions_when_jittered(form
     x = np.vstack([base, base[:3]])
     y = rng.uniform(20, 80, 9) - 50.0
     params = KernelParams(length_scales=np.array([0.8, 1.5, 1.1]), noise_variance=0.0)
-    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True).T)
     assert jitter > 0.0
     with np.errstate(divide="ignore"):
         theta = np.log(np.append(params.length_scales, 0.0))
@@ -179,7 +179,7 @@ def test_reused_distances_after_a_jittered_point_match_fresh_ones_bitwise(form):
     x = np.vstack([base, base[:5]])
     y = rng.uniform(20, 80, 17) - 50.0
     params = KernelParams(length_scales=np.array([0.9, 1.2, 0.7]), noise_variance=0.0)
-    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True))
+    _, jitter = stable_cholesky(gram_matrix(x, x, params, form, same_set=True).T)
     assert jitter > 0.0
     with np.errstate(divide="ignore"):
         jittered = np.log(np.append(params.length_scales, 0.0))
@@ -1086,7 +1086,7 @@ def test_stable_cholesky_clean_matrix_needs_no_jitter():
     rng = np.random.default_rng(20)
     a = rng.normal(size=(6, 6))
     matrix = a @ a.T + 6 * np.eye(6)
-    chol, jitter = stable_cholesky(matrix)
+    chol, jitter = stable_cholesky(np.asfortranarray(matrix))
     assert jitter == 0.0
     factor = np.tril(chol)
     assert np.allclose(factor @ factor.T, matrix, atol=1e-10)
@@ -1096,15 +1096,14 @@ def test_stable_cholesky_clean_matrix_needs_no_jitter():
 def test_stable_cholesky_escalates_jitter_for_singular_input():
     a = np.random.default_rng(23).normal(size=(4, 1))
     for matrix in (np.ones((4, 4)), a @ a.T):  # rank one, positive semidefinite
-        chol, jitter = stable_cholesky(matrix)
+        chol, jitter = stable_cholesky(np.asfortranarray(matrix))
         assert jitter > 0.0
         factor = np.tril(chol)
         assert np.allclose(factor @ factor.T, matrix + jitter * np.eye(4), atol=1e-8)
         assert np.array_equal(_strict_upper(chol), _strict_upper(matrix))
 
 
-@pytest.mark.parametrize("layout", ["fortran", "c"])
-def test_stable_cholesky_jittered_factor_is_scipy_cholesky_of_the_shifted_matrix(layout):
+def test_stable_cholesky_jittered_factor_is_scipy_cholesky_of_the_shifted_matrix():
     # duplicate rows at zero noise: the first attempts fail part-way, after
     # dpotrf has overwritten leading columns, so the retry must rebuild the
     # lower triangle and diagonal exactly
@@ -1115,16 +1114,13 @@ def test_stable_cholesky_jittered_factor_is_scipy_cholesky_of_the_shifted_matrix
     x = np.vstack([base, base[:10]])
     params = KernelParams(length_scales=np.array([0.6, 1.4, 0.9]), noise_variance=0.0)
     gram = gram_matrix(x, x, params, SUM, same_set=True)
-    matrix = gram.copy().T if layout == "fortran" else gram.copy()
+    matrix = gram.copy().T
     chol, jitter = stable_cholesky(matrix)
     assert jitter > 0.0
     expected = cholesky(gram + jitter * np.eye(x.shape[0]), lower=True)
     assert np.array_equal(np.tril(chol), expected)
     assert np.array_equal(_strict_upper(chol), _strict_upper(gram))
-    if layout == "fortran":
-        assert np.shares_memory(chol, matrix)  # factorized in place
-    else:
-        assert np.array_equal(matrix, gram)
+    assert np.shares_memory(chol, matrix)  # factorized in place
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["conditioned", "jittered"])
@@ -1149,29 +1145,34 @@ def test_stable_cholesky_reads_only_the_upper_triangle_and_diagonal(jittered):
     assert jitter == expected_jitter
 
 
-@pytest.mark.parametrize("case", ["c_order", "read_only", "fortran_read_only"])
-def test_stable_cholesky_leaves_other_input_unchanged(case):
+@pytest.mark.parametrize("case", ["c_order", "read_only", "float32"])
+def test_stable_cholesky_rejects_any_other_buffer_and_leaves_it_unchanged(case):
+    # a positive definite matrix, but not a writable, Fortran-ordered
+    # float64 buffer: it is refused, neither copied nor factorized
     rng = np.random.default_rng(26)
     a = rng.normal(size=(7, 7))
     matrix = a @ a.T + np.eye(7)
-    given = np.asfortranarray(matrix) if case == "fortran_read_only" else matrix.copy()
-    given.flags.writeable = case == "c_order"
-    chol, jitter = stable_cholesky(given)
-    assert jitter == 0.0
-    assert not np.shares_memory(chol, given)
-    assert np.array_equal(given, matrix)
-    assert np.allclose(np.tril(chol) @ np.tril(chol).T, matrix, atol=1e-10)
+    given = {
+        "c_order": matrix.copy(),
+        "read_only": np.asfortranarray(matrix),
+        "float32": np.asfortranarray(matrix, dtype=np.float32),
+    }[case]
+    given.flags.writeable = case != "read_only"
+    before = given.copy()
+    with pytest.raises(ValueError, match="writable, Fortran-ordered float64"):
+        stable_cholesky(given)
+    assert np.array_equal(given, before)
 
 
 def test_stable_cholesky_reports_attempted_ladder():
     with pytest.raises(ConditioningError) as info:
-        stable_cholesky(-np.eye(3))
+        stable_cholesky(np.asfortranarray(-np.eye(3)))
     assert info.value.attempted_jitters[0] == 0.0
     assert len(info.value.attempted_jitters) > 1
     with pytest.raises(ConditioningError):
-        stable_cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        stable_cholesky(np.asfortranarray([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValueError):
-        stable_cholesky(np.ones((2, 3)))
+        stable_cholesky(np.ones((2, 3), order="F"))
 
 
 def test_negative_variance_beyond_tolerance_is_an_error():

@@ -307,6 +307,14 @@ def test_pearson_rejects_degenerate_input():
         pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+def test_pearson_of_absurd_but_finite_scales(scale):
+    # both sums of squares are finite and positive, but their product
+    # overflows to inf (about 1e400) or underflows to 0 (about 1e-400)
+    a = np.array([1e100, -1e100, 5e99, 2e99]) * scale
+    assert pearson_r(a, a) == 1.0
+
+
 def test_pearson_rejects_non_finite_input():
     # the [-1, 1] clamp would turn a NaN correlation into 1.0
     with pytest.raises(ValueError, match="non-finite"):
