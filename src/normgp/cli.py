@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -84,6 +85,9 @@ def _load_model_chain(path: str):
 
 
 def cmd_fit(args) -> int:
+    report_path = args.report if args.report else args.out + ".report.json"
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise ValueError(f"--report {report_path!r} is the model file --out {args.out!r}")
     cohort = tabular_io.load_cohort(args.train_csv)
     standardizer, pca, features = fit_chain(cohort.features, args.standardize, args.pca)
     # Every fold's preprocessing is fitted (and can fail) before any GP fit.
@@ -105,7 +109,6 @@ def cmd_fit(args) -> int:
         seed=args.seed,
     )
     tabular_io.save_model(artifact, args.out)
-    report_path = args.report if args.report else args.out + ".report.json"
     report = {
         "command": "fit",
         "config": {

@@ -26,7 +26,7 @@ class ModelFormatError(NormgpError):
 
 
 class ModelIntegrityError(NormgpError):
-    """Model file is truncated or structurally inconsistent."""
+    """Model file is truncated; inconsistent contents raise ``ModelFormatError``."""
 
 
 class ConditioningError(NormgpError):

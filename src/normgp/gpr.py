@@ -5,7 +5,8 @@ using multi-start L-BFGS-B in log-parameter space. A fit builds one
 objective, ``_LmlObjective``, from its training rows: it owns their pair
 distances, a boolean mask of the pairs' strict lower triangle and one
 Fortran-ordered m x m Gram buffer. Each evaluation fills that buffer
-through ``kernels._feature_kernel`` in chunks of pairs, factorizes it in
+through ``kernels._feature_kernel`` in chunks of at most
+``kernels._BLOCK_ENTRIES`` pairs, the Gram's block budget, factorizes it in
 place, turns the factor into the gradient's K^-1 - alpha alpha' in place
 with LAPACK ``dpotri`` and BLAS ``dsyr``, and recomputes the sum form's
 per-feature terms (``kernels._feature_term``) chunk by chunk for the
@@ -50,6 +51,7 @@ from .kernels import (
     AgeKernelParams,
     KernelParams,
     _check_form,
+    _entry_blocks,
     _feature_kernel,
     _feature_term,
     _row_blocks,
@@ -79,11 +81,6 @@ _NOISE_VARIANCE_INIT_FACTOR = 0.1
 # this many iterations.
 _GRADIENT_TOLERANCE = 1e-8
 _MAX_ITERATIONS = 200
-# Pairs per pass of the fit's objective over its pair arrays: one
-# chunk-sized scratch array (512 KiB) serves every pass and stays in cache.
-# At m=2000, d=50 (31 chunks, 2-vCPU VM) an evaluation takes about 1.04 s and
-# 1.85 s with one pair-sized scratch; below m=363 there is only one chunk.
-_PAIR_CHUNK = 2**16
 # Test rows per block of ``_posterior_pass``. Each block's triangular solve
 # re-reads the whole m x m factor, so a block is a fixed number of rows, not
 # of entries: at m=3000, n=6000 (2-vCPU VM) a pass takes 2.0 s with 256-row
@@ -297,9 +294,10 @@ class _LmlObjective:
     pair kernel into the buffer's upper triangle (through its transpose),
     which ``stable_cholesky`` mirrors, and gathers the pair weights.
 
-    An evaluation reads the pairs in two passes of ``_PAIR_CHUNK`` pairs,
-    through one chunk-sized scratch array: the kernel pass fills the pair
-    kernel, and the sum form's gradient pass recomputes each feature's
+    An evaluation reads the pairs in two passes of chunks of at most
+    ``kernels._BLOCK_ENTRIES`` pairs (``kernels._entry_blocks``), through one
+    chunk-sized scratch array: the kernel pass fills the pair kernel, and
+    the sum form's gradient pass recomputes each feature's
     ``_feature_term`` instead of keeping a d x pairs array of them.
     """
 
@@ -316,9 +314,8 @@ class _LmlObjective:
         del rows, cols  # freed before the buffers below are made
         self._pairs = np.tri(m, k=-1, dtype=bool)
         self._kernel = np.empty(n_pairs)
-        self._chunks = [slice(lo, min(lo + _PAIR_CHUNK, n_pairs))
-                        for lo in range(0, n_pairs, _PAIR_CHUNK)]
-        self._scratch = np.empty(min(_PAIR_CHUNK, n_pairs))
+        self._chunks = _entry_blocks(n_pairs)
+        self._scratch = np.empty(self._chunks[0].stop)
         self._gram = np.empty((m, m), order="F")
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:

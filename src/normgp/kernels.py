@@ -40,11 +40,16 @@ import numpy as np
 SUM = "sum"
 PRODUCT = "product"
 FORMS = (SUM, PRODUCT)
-# Doubles in one row block of ``gram_matrix``'s fill (4 MiB): its scratch is
-# one block, and an entry's bits do not depend on the block size. The
+# Doubles in one block of kernel entries (512 KiB): a row block of
+# ``gram_matrix``'s fill and a pair chunk of the fit's objective in ``gpr``
+# (``_entry_blocks``); each pass's scratch is one block, and an entry's bits
+# do not depend on the block size. At bench size (d=8, 2-vCPU VM, best of
+# 3 x 10 calls in 4 rounds each) 2**19 -> 2**16 took a 2000 x 500 cross Gram
+# from 48-58 to 34-45 ms and a 6000 x 500 one from 133-163 to 113-137 ms;
+# ``restore`` at m=500 (15-19 vs 11-17 ms) did not separate. The
 # posterior pass in ``gpr`` sizes its own blocks by rows (``_PASS_ROWS``),
 # because there each block's triangular solve re-reads the m x m factor.
-_BLOCK_ENTRIES = 2**19
+_BLOCK_ENTRIES = 2**16
 
 
 def _check_form(form: str) -> None:
@@ -57,6 +62,11 @@ def _row_blocks(n_rows: int, step: int) -> list[slice]:
     ``step`` rows (at least one)."""
     step = max(1, step)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _entry_blocks(n_rows: int, width: int = 1) -> list[slice]:
+    """``_row_blocks`` of at most ``_BLOCK_ENTRIES`` entries over rows of ``width`` entries."""
+    return _row_blocks(n_rows, _BLOCK_ENTRIES // max(width, 1))
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,7 @@ def gram_matrix(
         raise ValueError("same_set=True requires square output")
 
     k = np.empty((a.shape[0], b.shape[0]))
-    blocks = _row_blocks(k.shape[0], _BLOCK_ENTRIES // max(k.shape[1], 1))
+    blocks = _entry_blocks(*k.shape)
     buffer = np.empty((blocks[0].stop if blocks else 0, b.shape[0]))
     for rows in blocks:
         scratch = buffer[: rows.stop - rows.start]

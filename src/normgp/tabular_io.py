@@ -164,8 +164,9 @@ class Cohort:
     It holds the rules ``load_cohort`` applies, so every cohort round-trips
     exactly through ``save_cohort``: at least one feature, none named like a
     role column (``id``, ``age``, ``sex``, ``dx``, ``diagnosis``); feature
-    names, ids and diagnoses non-empty without surrounding whitespace; sex
-    ``F`` or ``M``.
+    names, ids and diagnoses non-empty without surrounding whitespace;
+    feature names one line each, as ``str.splitlines`` sees it; sex ``F``
+    or ``M``.
     """
 
     subject_ids: tuple[str, ...]
@@ -197,6 +198,10 @@ class Cohort:
         roles = [name for name in self.feature_names if name in _ROLE_COLUMNS]
         if roles:
             raise ValueError(f"feature name {roles[0]!r} is a role column's name")
+        # the model file keeps one name a line, split by ``str.splitlines``
+        broken = [name for name in self.feature_names if name.splitlines() != [name]]
+        if broken:
+            raise ValueError(f"feature name {broken[0]!r} must be one line")
         _check_texts("subject ids", self.subject_ids)
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite values")

@@ -439,6 +439,37 @@ def test_fit_warns_when_the_model_explains_nothing(tmp_path, capsys):
         assert captured.err.splitlines() == [f"warning: {text}" for text in report["warnings"]]
 
 
+@pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"], ids=["lf", "ff", "ls"])
+def test_fit_rejects_a_feature_name_that_is_not_one_line(tmp_path, capsys, brk):
+    # the model file keeps one feature name a line, and load_model splits it
+    # with str.splitlines, which also breaks at a form feed or U+2028
+    train = _synth(tmp_path, **{"--n-healthy": "40", "--n-features": "2"})
+    lines = train.read_text().split("\n", 1)
+    header = lines[0].split(",")
+    name = f"v{brk}1"
+    header[header.index("v1")] = '"' + name + '"'
+    train.write_text(",".join(header) + "\n" + lines[1])
+    model = tmp_path / "model.normgp"
+    capsys.readouterr()
+    assert main(["fit", str(train), "--out", str(model), "--restarts", "1", "-q"]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [train]
+
+
+def test_fit_refuses_a_report_path_that_is_the_model_file(tmp_path, capsys):
+    # the report would overwrite the model just written
+    train = _synth(tmp_path)
+    model = tmp_path / "model.normgp"
+    alias = tmp_path / "sub" / ".." / "model.normgp"
+    (tmp_path / "sub").mkdir()
+    for report in (model, alias):
+        argv = ["fit", str(train), "--out", str(model), "--report", str(report),
+                "--restarts", "1", "--folds", "3", "-q"]
+        assert main(argv) == 2
+        assert "error: --report" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted([train, tmp_path / "sub"])
+
+
 def test_center_ages_option_is_hidden_and_inert(tmp_path, capsys):
     # kept only so older command lines still parse; ages are always centred
     train = _synth(tmp_path)

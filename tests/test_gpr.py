@@ -242,8 +242,6 @@ def test_chunked_passes_match_one_chunk(form, monkeypatch):
     # chunks of 7 pairs split the pairs of every row mid-way; the kernel
     # pass is elementwise, so the value keeps its bits, and only the sum
     # form's gradient reductions are regrouped
-    import normgp.gpr as gpr
-
     rng = np.random.default_rng(30)
     m = 20
     x = rng.normal(size=(m, 3))
@@ -251,7 +249,7 @@ def test_chunked_passes_match_one_chunk(form, monkeypatch):
     params = KernelParams(length_scales=np.array([0.6, 1.4, 2.5]), noise_variance=0.4)
     theta = np.log(np.append(params.length_scales, params.noise_variance))
     value, grad = _LmlObjective(x, y, form)(theta)
-    monkeypatch.setattr(gpr, "_PAIR_CHUNK", 7)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 7)
     chunked = _LmlObjective(x, y, form)
     assert len(chunked._chunks) == math.ceil(m * (m - 1) / 2 / 7)
     chunked_value, chunked_grad = chunked(theta)
@@ -1014,7 +1012,10 @@ def test_restore_allocates_one_gram_block_and_a_row_block():
 
 def test_weighted_variance_at_finite_ly_adds_one_training_block():
     # with a stored cross block the weighted training Gram is the only
-    # m x m array made: the age factor, multiplied and factorized in place
+    # m x m array made: the age factor, multiplied and factorized in place;
+    # no Gram block is built, and the pass holds an age-factor row block
+    import normgp.gpr as gpr
+
     rng = np.random.default_rng(33)
     m, d, n = 1500, 3, 1000
     x = rng.normal(size=(m, d))
@@ -1028,7 +1029,7 @@ def test_weighted_variance_at_finite_ly_adds_one_training_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m * m * 8 + 2 * kernels._BLOCK_ENTRIES * 8 + 8 * (m + n) * 8
+    assert peak < m * m * 8 + 2 * gpr._PASS_ROWS * m * 8 + 8 * (m + n) * 8
 
 
 def test_weighted_variance_at_finite_ly_builds_one_training_block():

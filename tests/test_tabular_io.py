@@ -275,6 +275,9 @@ def test_cohort_rejects_a_role_column_name_as_a_feature(role):
         ("sex", (" F",)),
         ("diagnosis", ("",)),
         ("diagnosis", ("HC\n",)),
+        ("feature_names", ("v\nw",)),
+        ("feature_names", ("v\x0cw",)),
+        ("feature_names", ("v\u2028w",)),
     ],
 )
 def test_cohort_rejects_text_that_load_cohort_would_reject_or_change(field, value):
@@ -303,7 +306,8 @@ def _cohorts(draw):
     n = draw(st.integers(0, 4))
     d = draw(st.integers(1, 3))
     names = draw(st.lists(
-        _UNPADDED_TEXT.filter(lambda name: name not in ("id", "age", "sex", "dx", "diagnosis")),
+        _UNPADDED_TEXT.filter(lambda name: name not in ("id", "age", "sex", "dx", "diagnosis")
+                              and name.splitlines() == [name]),
         min_size=d, max_size=d, unique=True,
     ))
     finite = st.floats(allow_nan=False, allow_infinity=False)
