@@ -157,6 +157,17 @@ def _check_texts(name: str, values) -> None:
             raise ValueError(f"{name} must be non-empty without surrounding whitespace: {value!r}")
 
 
+def _check_one_line_names(names) -> None:
+    """Raise ValueError if a feature name holds a line break.
+
+    The model file keeps one name a line, split by ``str.splitlines``,
+    which also breaks at a form feed or U+2028.
+    """
+    broken = [name for name in names if "".join(name.splitlines()) != name]
+    if broken:
+        raise ValueError(f"feature name {broken[0]!r} must be one line")
+
+
 @dataclass(frozen=True)
 class Cohort:
     """A tabular dataset of subjects, one row each.
@@ -198,10 +209,7 @@ class Cohort:
         roles = [name for name in self.feature_names if name in _ROLE_COLUMNS]
         if roles:
             raise ValueError(f"feature name {roles[0]!r} is a role column's name")
-        # the model file keeps one name a line, split by ``str.splitlines``
-        broken = [name for name in self.feature_names if name.splitlines() != [name]]
-        if broken:
-            raise ValueError(f"feature name {broken[0]!r} must be one line")
+        _check_one_line_names(self.feature_names)
         _check_texts("subject ids", self.subject_ids)
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain non-finite values")
@@ -402,7 +410,11 @@ class FitMetadata:
 
 @dataclass(frozen=True)
 class ModelArtifact:
-    """Everything needed to reproduce scoring: data, preprocessing, params."""
+    """Everything needed to reproduce scoring: data, preprocessing, params.
+
+    Its feature names hold no line break, as ``Cohort``'s do, so
+    ``save_model`` writes only what ``load_model`` reads back.
+    """
 
     kernel_form: str
     feature_names: tuple[str, ...]
@@ -416,6 +428,7 @@ class ModelArtifact:
 
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        _check_one_line_names(self.feature_names)
         features = np.asarray(self.training_features, dtype=float)
         ages = np.asarray(self.training_ages, dtype=float).reshape(-1)
         object.__setattr__(self, "training_features", features)

@@ -707,6 +707,37 @@ def test_importing_the_cli_leaves_heavy_scipy_modules_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("caller", [None, "20"], ids=["unset", "caller"])
+def test_command_sets_the_openblas_thread_timeout_before_numpy_loads(tmp_path, caller):
+    # numpy's and scipy's OpenBLAS read the variable when they load; the
+    # command sets it first, unless the caller did, so importing the
+    # package must not load numpy
+    code = (
+        "import os, runpy, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "sys.meta_path.insert(0, Spy)\n"
+        f"sys.argv = ['normgp', 'synth', '--out', {str(tmp_path / 'c.csv')!r}, '-q', "
+        "'--n-healthy', '10', '--n-diseased', '10', '--mode', 'orthogonal']\n"
+        "try:\n"
+        "    runpy.run_module('normgp', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(seen)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if caller is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = caller
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == repr([caller or "16"])
+    assert (tmp_path / "c.csv").exists()
+
+
 def test_evaluate_repeated_metric_exits_2(tmp_path, capsys):
     # a repeated metric once printed its line twice and wrote it twice
     # into the report's config beside one metrics entry

@@ -712,6 +712,18 @@ def test_artifact_dimension_validation():
         artifact_from_fit(model, ("only_one",))
 
 
+@pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"], ids=["lf", "ff", "ls"])
+def test_artifact_rejects_a_feature_name_that_is_not_one_line(tmp_path, brk):
+    # save_model writes one name a line and load_model splits the file with
+    # str.splitlines, so such a name once saved into a file that does not load
+    model = to_trained_model(_small_artifact())
+    with pytest.raises(ValueError, match="must be one line"):
+        artifact_from_fit(model, (f"a{brk}b", "c"))
+    path = tmp_path / "model.gp"
+    save_model(artifact_from_fit(model, ("", "c")), path)
+    assert load_model(path).feature_names == ("", "c")
+
+
 def test_atomic_write_failure_leaves_target_and_no_temp_file(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old\n")
