@@ -76,6 +76,19 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
+    """Refuse an output path that names an input or an earlier output.
+
+    Both map a command-line name to its path. Paths are compared by
+    ``os.path.realpath``, so an alias through ``..`` or a symlink is caught.
+    """
+    owners = {os.path.realpath(path): name for name, path in inputs.items()}
+    for flag, path in outputs.items():
+        owner = owners.setdefault(os.path.realpath(path), flag)
+        if owner != flag:
+            raise ValueError(f"{flag} {path!r} would overwrite {owner}")
+
+
 def _load_model_chain(path: str):
     artifact = tabular_io.load_model(path)
     try:
@@ -86,8 +99,7 @@ def _load_model_chain(path: str):
 
 def cmd_fit(args) -> int:
     report_path = args.report if args.report else args.out + ".report.json"
-    if os.path.realpath(report_path) == os.path.realpath(args.out):
-        raise ValueError(f"--report {report_path!r} is the model file --out {args.out!r}")
+    _refuse_overwrites({"train_csv": args.train_csv}, {"--out": args.out, "--report": report_path})
     cohort = tabular_io.load_cohort(args.train_csv)
     standardizer, pca, features = fit_chain(cohort.features, args.standardize, args.pca)
     # Every fold's preprocessing is fitted (and can fail) before any GP fit.
@@ -153,6 +165,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _refuse_overwrites({"model": args.model, "test_csv": args.test_csv}, {"--out": args.out})
     artifact, model = _load_model_chain(args.model)
     cohort = tabular_io.load_cohort(args.test_csv)
     age_params = AgeKernelParams(
@@ -176,6 +189,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_overwrites({"scores_csv": args.scores_csv}, {"--out": args.out})
     table = tabular_io.load_scores(args.scores_csv)
     groups = _parse_groups(args.groups)
     metric_names = tuple(part.strip() for part in args.metrics.split(",") if part.strip())
@@ -206,6 +220,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _refuse_overwrites({"model": args.model, "test_csv": args.test_csv}, {"--out": args.out})
     artifact, model = _load_model_chain(args.model)
     cohort = tabular_io.load_cohort(args.test_csv)
     groups = _parse_groups(args.groups)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -468,6 +469,38 @@ def test_fit_refuses_a_report_path_that_is_the_model_file(tmp_path, capsys):
         assert main(argv) == 2
         assert "error: --report" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == sorted([train, tmp_path / "sub"])
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stage_inputs")
+    train = _synth(root)
+    test = _synth(root, name="test.csv", **{"--n-diseased": "20", "--seed": "10"})
+    model = _fit(root, train, name="m.txt")
+    assert main(["score", str(model), str(test), "--out", str(root / "s.csv"), "-q"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["score", "m.txt", "test.csv", "--out", "test.csv"], "--out"),
+    (["sweep", "m.txt", "test.csv", "--out", "m.txt"], "--out"),
+    (["sweep", "m.txt", "test.csv", "--out", "test.csv"], "--out"),
+    (["evaluate", "s.csv", "--out", "s.csv"], "--out"),
+    (["fit", "train.csv", "--out", "train.csv"], "--out"),
+    (["fit", "train.csv", "--out", "m2.txt", "--report", "train.csv"], "--report"),
+], ids=["score-cohort", "sweep-model", "sweep-cohort", "evaluate-scores", "fit-cohort",
+        "fit-report-cohort"])
+def test_stage_refuses_an_output_that_names_an_input(stage_inputs, tmp_path, monkeypatch,
+                                                      capsys, argv, flag):
+    for path in stage_inputs.iterdir():
+        shutil.copy(path, tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "-q"]) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    # every input is unchanged, and nothing new was written
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_center_ages_option_is_hidden_and_inert(tmp_path, capsys):

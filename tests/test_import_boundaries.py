@@ -7,7 +7,6 @@ syntax tree, so an import on a path no stage test runs fails too.
 """
 
 import ast
-import importlib
 from pathlib import Path
 
 import pytest
@@ -81,14 +80,3 @@ def test_guarded_scipy_packages_are_imported_only_in_their_place():
     # the walk reaches the imports that exist today
     assert ("scipy.optimize", "gpr.fit") in found
     assert ("scipy.stats", "stats.fit_fixed_effects") in found
-
-
-def test_public_names_resolve_on_first_use():
-    # importing the package loads no module (see test_cli's OpenBLAS test);
-    # each public name is its defining module's object
-    for name in normgp.__all__:
-        module = importlib.import_module(f"normgp.{normgp._MODULE_OF[name]}")
-        assert getattr(normgp, name) is getattr(module, name)
-    assert set(normgp.__all__) <= set(dir(normgp))
-    with pytest.raises(AttributeError):
-        normgp.no_such_name
