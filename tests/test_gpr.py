@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1183,19 +1184,165 @@ def test_negative_variance_beyond_tolerance_is_an_error():
     assert np.array_equal(_clamped(np.array([0.25, -1e-12])), [0.25, 0.0])
 
 
-def test_lapack_routines_are_scipy_linalg_s_own_objects():
+def test_lapack_modules_are_scipy_linalg_s_own_modules():
     # _lapack loads scipy's compiled modules without the scipy.linalg
     # package, which a later import reuses rather than loading them again
     code = (
         "import sys; from normgp import _lapack; "
         "assert 'scipy.linalg' not in sys.modules; "
         "import scipy.linalg.blas, scipy.linalg.lapack; "
-        "print(scipy.linalg.lapack.dpotrf is _lapack.dpotrf, "
-        "scipy.linalg.lapack.dtrtrs is _lapack.dtrtrs, scipy.linalg.blas.dgemv is _lapack.dgemv)"
+        "from scipy.linalg import _fblas, _flapack; "
+        "print(_lapack._flapack is _flapack, _lapack._fblas is _fblas, "
+        "scipy.linalg.lapack.dpotrf is _lapack._flapack.dpotrf, "
+        "scipy.linalg.blas.dgemv is _lapack._fblas.dgemv)"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["True", "True", "True"]
+    assert result.stdout.split() == ["True"] * 4
+
+
+def _bundled_openblas() -> list[str]:
+    """The ``libscipy_openblas`` libraries that scipy's wheel bundles, if any."""
+    import scipy
+
+    package = Path(scipy.__file__).parent
+    return [path.name for directory in (package.parent / "scipy.libs", package / ".dylibs")
+            if directory.is_dir() for path in directory.glob("libscipy_openblas*")]
+
+
+def test_scipy_s_bundled_openblas_gets_its_thread_functions_bound():
+    # a scipy release that renames the thread functions would otherwise
+    # drop the one-thread switch for small orders without a sound
+    from normgp import _lapack
+
+    if not _bundled_openblas():
+        pytest.skip("this scipy bundles no libscipy_openblas")
+    assert _lapack._set_threads is not None and _lapack._get_threads is not None
+    assert _lapack.dpotrf.__wrapped__ is _lapack._flapack.dpotrf
+    assert _lapack.dgemv.__wrapped__ is _lapack._fblas.dgemv
+    assert _lapack.dtrtrs is _lapack._flapack.dtrtrs  # never switched
+
+
+@pytest.mark.parametrize("refusal", ["no library", "no symbol"])
+def test_without_openblas_thread_functions_the_routines_are_scipy_s_own(refusal):
+    # a conda or MKL build: the six names are scipy's routines, unwrapped
+    stub = "raise OSError('absent')" if refusal == "no library" else "return object()"
+    code = (
+        "import ctypes, scipy\n"
+        f"def absent(*args, **kwargs):\n    {stub}\n"
+        "ctypes.CDLL = absent\n"
+        "from normgp import _lapack\n"
+        "modules = {'dsyr': _lapack._fblas, 'dgemv': _lapack._fblas}\n"
+        "print(_lapack._set_threads is None, all(getattr(_lapack, name) is "
+        "getattr(modules.get(name, _lapack._flapack), name) for name in _lapack.__all__))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """``_lapack`` with scipy's OpenBLAS at two threads, its own count restored after."""
+    from normgp import _lapack
+
+    if _lapack._set_threads is None:
+        pytest.skip("scipy's OpenBLAS thread functions are not bound")
+    before = _lapack._get_threads()
+    _lapack._set_threads(2)
+    yield _lapack
+    _lapack._set_threads(before)
+
+
+def _recorded_setter(monkeypatch, lapack) -> list[int]:
+    counts = []
+    set_threads = lapack._set_threads
+
+    def record(count):
+        counts.append(count)
+        set_threads(count)
+
+    monkeypatch.setattr(lapack, "_set_threads", record)
+    return counts
+
+
+def _order_5_calls(lapack):
+    """Each of the five switched routines at order 5, by name."""
+    a = np.asfortranarray(np.eye(5) * 4.0 + 1.0)
+    chol = lapack._flapack.dpotrf(a)[0]
+    x = np.arange(5.0)
+    return {
+        "dpotrf": lambda: lapack.dpotrf(a.copy(order="F"), lower=1),
+        "dpotrs": lambda: lapack.dpotrs(chol, x, lower=1),
+        "dpotri": lambda: lapack.dpotri(chol.copy(order="F"), lower=1),
+        "dsyr": lambda: lapack.dsyr(-1.0, x, lower=1, a=a.copy(order="F")),
+        "dgemv": lambda: lapack.dgemv(1.0, a, x, trans=1),
+    }
+
+
+@pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dpotri", "dsyr", "dgemv"])
+def test_a_small_call_runs_on_one_thread_and_restores_the_count(two_blas_threads, monkeypatch,
+                                                                 routine):
+    lapack = two_blas_threads
+    counts = _recorded_setter(monkeypatch, lapack)
+    call = _order_5_calls(lapack)[routine]
+    result = call()
+    assert counts == [1, 2]
+    assert lapack._get_threads() == 2
+    # the same call on scipy's routine gives the same numbers
+    counts.clear()
+    monkeypatch.setattr(lapack, "_SERIAL_BELOW", 5)
+    for got, expected in zip(result, call()):
+        assert np.array_equal(got, expected)
+    assert counts == []
+
+
+def test_the_count_is_restored_when_the_routine_raises(two_blas_threads, monkeypatch):
+    lapack = two_blas_threads
+    counts = _recorded_setter(monkeypatch, lapack)
+    with pytest.raises(Exception, match=r"shape\(a,0\)==shape\(a,1\)"):
+        lapack.dpotrf(np.ones(3))  # f2py refuses a 1-D matrix
+    assert counts == [1, 2]
+    assert lapack._get_threads() == 2
+
+
+@pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dpotri", "dsyr", "dgemv"])
+def test_a_call_at_the_serial_order_or_above_never_sets_the_count(two_blas_threads, monkeypatch,
+                                                                  routine):
+    lapack = two_blas_threads
+    counts = _recorded_setter(monkeypatch, lapack)
+    for below in (5, 4):
+        monkeypatch.setattr(lapack, "_SERIAL_BELOW", below)
+        _order_5_calls(lapack)[routine]()
+    assert counts == []
+
+
+def test_results_agree_on_one_thread_and_on_the_library_s_count(monkeypatch):
+    # below _SERIAL_BELOW every switched call runs on one thread, so
+    # comparing OPENBLAS_NUM_THREADS settings in subprocesses no longer
+    # compares them at small orders: here one process runs them threaded,
+    # then on one thread
+    from normgp import _lapack
+
+    rng = np.random.default_rng(29)
+    m, n, d = 80, 40, 4
+    x = rng.normal(size=(m, d))
+    y = rng.uniform(20.0, 80.0, m)
+    x_test = rng.normal(size=(n, d))
+    ages = rng.uniform(20.0, 80.0, n)
+    params = KernelParams(length_scales=rng.uniform(0.5, 2.0, d), noise_variance=0.1)
+    theta = np.log(np.append(params.length_scales, params.noise_variance)) + 0.3
+    runs = []
+    for below in (0, 10**6):
+        monkeypatch.setattr(_lapack, "_SERIAL_BELOW", below)
+        model = restore(x, y, params, SUM, y_offset=50.0)
+        predicted = predict(model, x_test)
+        weighted = weighted_posterior_cov(model, x_test, ages, AgeKernelParams(10.0))
+        value, grad = _LmlObjective(x, y - 50.0, SUM)(theta)
+        runs.append([model.chol, model.alpha, predicted.y_hat, predicted.variance,
+                     weighted.variance, weighted.y_hat, np.array([value]), grad])
+    for threaded, serial in zip(*runs):
+        np.testing.assert_allclose(threaded, serial, rtol=1e-12, atol=0.0)
 
 
 def test_missing_lapack_extension_modules_name_the_directory_searched():
