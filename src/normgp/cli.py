@@ -1,7 +1,9 @@
 """Command-line pipeline: synth, fit, score, evaluate, sweep.
 
-Exit codes: 0 success; 2 schema, parse, or argument errors; 3 numerical
-failures (conditioning, negative variance); 1 I/O or unexpected errors.
+Exit codes: 0 success; 2 bad input, any ``ValueError`` (schema, parse,
+argument or model-file errors); 3 numerical failures, any
+``errors.NumericalError`` (conditioning, negative variance); 1 I/O or
+unexpected errors.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ import sys
 import numpy as np
 
 from . import gpr, metrics, stats, synth, tabular_io
-from .errors import (
-    CohortParseError,
-    ConditioningError,
-    ModelFormatError,
-    ModelIntegrityError,
-    NumericalError,
-    SchemaError,
-)
+from .errors import NumericalError
 from .kernels import FORMS, SUM, AgeKernelParams
 from .preprocess import fit_chain
 
@@ -376,16 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (
-        SchemaError,
-        CohortParseError,
-        ModelFormatError,
-        ModelIntegrityError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConditioningError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

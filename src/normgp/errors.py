@@ -1,8 +1,10 @@
-"""Exception hierarchy for normgp.
+"""Exception hierarchy for normgp: two families, one per CLI exit code.
 
-Plain ``ValueError`` is used for ordinary contract violations (dimension
-mismatches, bad argument ranges). The classes below mark failures that
-callers are expected to distinguish, e.g. for CLI exit codes.
+Bad input is a ``ValueError`` (exit 2): plain for ordinary contract
+violations (dimension mismatches, bad argument ranges), or one of the
+classes below that subclass it. A numerical failure is a
+``NumericalError`` (exit 3), ``ConditioningError`` among them; it is not a
+``ValueError``, so no input handler catches it.
 """
 
 
@@ -10,32 +12,24 @@ class NormgpError(Exception):
     """Base class for all normgp-specific errors."""
 
 
-class CohortParseError(NormgpError):
+class CohortParseError(NormgpError, ValueError):
     """A delimited input file could not be parsed.
 
     Carries human-readable row/column context in the message.
     """
 
 
-class SchemaError(NormgpError):
+class SchemaError(NormgpError, ValueError):
     """Column roles or feature names do not match what was expected."""
 
 
-class ModelFormatError(NormgpError):
-    """Model file has the wrong magic line or an unsupported version."""
-
-
-class ModelIntegrityError(NormgpError):
-    """Model file is truncated; inconsistent contents raise ``ModelFormatError``."""
-
-
-class ConditioningError(NormgpError):
-    """Cholesky factorization failed even at the largest allowed jitter."""
-
-    def __init__(self, message: str, attempted_jitters: list[float] | None = None):
-        super().__init__(message)
-        self.attempted_jitters = attempted_jitters or []
+class ModelFormatError(NormgpError, ValueError):
+    """Model file is truncated, or its magic line, version or contents are wrong."""
 
 
 class NumericalError(NormgpError):
     """A numerical invariant was violated beyond repairable roundoff."""
+
+
+class ConditioningError(NumericalError):
+    """Cholesky factorization failed even at the largest allowed jitter."""

@@ -122,7 +122,7 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     ValueError
         When ``matrix`` is not such a buffer; it is left unchanged.
     ConditioningError
-        When every attempt fails; carries the attempted jitter ladder.
+        When every attempt fails; its message names the last jitter tried.
     """
     from ._lapack import dpotrf
 
@@ -130,11 +130,10 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
     if not (isinstance(k, np.ndarray) and k.dtype == np.float64 and k.ndim == 2
             and k.shape[0] == k.shape[1] and k.flags.f_contiguous and k.flags.writeable):
         raise ValueError("matrix must be a writable, Fortran-ordered float64 square array")
-    attempted: list[float] = []
     _mirror_upper(k)
     # min and max propagate nan and +-inf without an m x m boolean temporary
     if k.size and not (math.isfinite(k.min()) and math.isfinite(k.max())):
-        raise ConditioningError("matrix has non-finite entries", attempted)
+        raise ConditioningError("matrix has non-finite entries")
     diagonal = k.diagonal().copy()
     scale = float(np.mean(diagonal))
     if not scale > 0.0:
@@ -144,13 +143,12 @@ def stable_cholesky(matrix) -> tuple[np.ndarray, float]:
         chol, info = dpotrf(k, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return chol, jitter
-        attempted.append(jitter)
+        failed = jitter
         jitter = _INITIAL_JITTER_FACTOR * scale if jitter == 0.0 else 10.0 * jitter
         if jitter > _MAX_JITTER_FACTOR * scale * (1.0 + 1e-9):
             raise ConditioningError(
                 f"Cholesky failed for a {k.shape[0]}x{k.shape[0]} matrix even "
-                f"after escalating jitter to {attempted[-1]:.3e}",
-                attempted,
+                f"after escalating jitter to {failed:.3e}"
             )
         _mirror_upper(k)
         np.fill_diagonal(k, diagonal + jitter)
@@ -433,7 +431,7 @@ def fit(
     def objective(theta):
         try:
             value, grad = lml(theta)
-        except (ConditioningError, NumericalError):
+        except NumericalError:
             return _FAILURE_OBJECTIVE, np.zeros_like(theta)
         return -value, -grad
 

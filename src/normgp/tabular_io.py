@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import gpr
-from .errors import CohortParseError, ModelFormatError, ModelIntegrityError, SchemaError
+from .errors import CohortParseError, ModelFormatError, SchemaError
 from .kernels import KernelParams, _check_form
 from .preprocess import PcaTransform, Standardizer
 
@@ -609,7 +609,7 @@ def load_model(path) -> ModelArtifact:
     def next_line() -> str:
         line = next(lines, None)
         if line is None:
-            raise ModelIntegrityError("model file is truncated")
+            raise ModelFormatError("model file is truncated")
         return line
 
     first = next_line().split()

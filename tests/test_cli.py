@@ -12,8 +12,15 @@ import pytest
 
 import normgp
 from conftest import BENCH_SCORE_PARAMS
-from normgp import metrics
+from normgp import gpr, metrics, tabular_io
 from normgp.cli import main
+from normgp.errors import (
+    CohortParseError,
+    ConditioningError,
+    ModelFormatError,
+    NumericalError,
+    SchemaError,
+)
 from normgp.gpr import restore
 from normgp.kernels import SUM
 from normgp.seeding import FOLDS, substream
@@ -501,6 +508,48 @@ def test_stage_refuses_an_output_that_names_an_input(stage_inputs, tmp_path, mon
     assert f"error: {flag}" in capsys.readouterr().err
     # every input is unchanged, and nothing new was written
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (CohortParseError, 2, "error:"),
+    (SchemaError, 2, "error:"),
+    (ModelFormatError, 2, "error:"),
+    (ValueError, 2, "error:"),
+    (NumericalError, 3, "numerical failure:"),
+    (ConditioningError, 3, "numerical failure:"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_each_error_family_has_one_exit_code(stage_inputs, tmp_path, monkeypatch, capsys,
+                                             error, code, prefix):
+    # main catches ValueError (input) and NumericalError (numerical), so a
+    # NumericalError must never be a ValueError, or it would exit 2
+    assert issubclass(error, ValueError) == (code == 2)
+
+    def fail(path):
+        raise error("stub failure")
+
+    monkeypatch.setattr(tabular_io, "load_cohort", fail)
+    model, out = stage_inputs / "m.txt", tmp_path / "s.csv"
+    capsys.readouterr()
+    argv = ["score", str(model), str(stage_inputs / "test.csv"), "--out", str(out), "-q"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"{prefix} stub failure\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["score", "sweep"])
+def test_a_conditioning_failure_while_rebuilding_the_model_names_the_model_file(
+    stage_inputs, tmp_path, monkeypatch, capsys, stage
+):
+    def fail(matrix):
+        raise ConditioningError("the matrix cannot be factorized")
+
+    monkeypatch.setattr(gpr, "stable_cholesky", fail)
+    model, out = stage_inputs / "m.txt", tmp_path / f"{stage}.csv"
+    capsys.readouterr()
+    assert main([stage, str(model), str(stage_inputs / "test.csv"), "--out", str(out), "-q"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: model {model}: the matrix cannot be factorized\n"
+    assert not out.exists()
 
 
 def test_center_ages_option_is_hidden_and_inert(tmp_path, capsys):

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgp.errors import (
-    CohortParseError,
-    ModelFormatError,
-    ModelIntegrityError,
-    SchemaError,
-)
+from normgp.errors import CohortParseError, ModelFormatError, SchemaError
 from normgp.gpr import FitConfig, fit, predict, restore
 from normgp.kernels import SUM, KernelParams
 from normgp.preprocess import fit_pca, fit_standardizer
@@ -575,7 +570,7 @@ def _without_training_rows(lines):
          "non-negative"),
         (_replace_header("kernel_form", "kernel_form cubic"), ModelFormatError,
          "unknown kernel form 'cubic'"),
-        (lambda lines: lines[:lines.index("training_features 6 2") + 3], ModelIntegrityError,
+        (lambda lines: lines[:lines.index("training_features 6 2") + 3], ModelFormatError,
          "truncated"),
         (lambda lines: lines[:-1] + ["fin"], ModelFormatError, "'end' terminator"),
         (_without_training_rows, ModelFormatError, "edited.gp: .*no training rows"),
@@ -630,7 +625,7 @@ def test_model_truncation_is_integrity_error(tmp_path):
     for cut in (len(lines) // 3, len(lines) - 1):
         clipped = tmp_path / f"cut{cut}.gp"
         clipped.write_text("\n".join(lines[:cut]) + "\n")
-        with pytest.raises(ModelIntegrityError, match="truncated"):
+        with pytest.raises(ModelFormatError, match="truncated"):
             load_model(clipped)
 
 
