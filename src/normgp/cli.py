@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import gpr, metrics, stats, synth, tabular_io
 from .errors import NumericalError
 from .kernels import FORMS, SUM, AgeKernelParams
@@ -23,24 +21,20 @@ from .preprocess import fit_chain
 
 
 def _jsonable(value):
-    """Recursively convert to JSON-safe types; non-finite floats to strings."""
+    """Recursively map each non-finite float to ``"nan"``, ``"inf"`` or ``"-inf"``.
+
+    Every report builder emits plain Python values, so nothing else needs
+    converting.
+    """
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(item) for item in value.tolist()]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (float, np.floating)):
-        number = float(value)
-        if math.isnan(number):
+    if isinstance(value, float):
+        if math.isnan(value):
             return "nan"
-        if math.isinf(number):
-            return "inf" if number > 0 else "-inf"
-        return number
-    if isinstance(value, np.integer):
-        return int(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
     return value
 
 
@@ -380,7 +374,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

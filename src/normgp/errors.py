@@ -8,26 +8,22 @@ classes below that subclass it. A numerical failure is a
 """
 
 
-class NormgpError(Exception):
-    """Base class for all normgp-specific errors."""
-
-
-class CohortParseError(NormgpError, ValueError):
+class CohortParseError(ValueError):
     """A delimited input file could not be parsed.
 
     Carries human-readable row/column context in the message.
     """
 
 
-class SchemaError(NormgpError, ValueError):
+class SchemaError(ValueError):
     """Column roles or feature names do not match what was expected."""
 
 
-class ModelFormatError(NormgpError, ValueError):
+class ModelFormatError(ValueError):
     """Model file is truncated, or its magic line, version or contents are wrong."""
 
 
-class NumericalError(NormgpError):
+class NumericalError(Exception):
     """A numerical invariant was violated beyond repairable roundoff."""
 
 

@@ -202,10 +202,6 @@ class TrainedModel:
     restart_log_marginals: tuple[float, ...] = ()
     chosen_restart: int = 0
 
-    @property
-    def n_training(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -666,7 +662,7 @@ def weighted_posterior_cov(
     """
     xt = _validated_features(x_test, model.params.n_features, "X_test")
     ages = _validated_targets(test_ages, xt.shape[0], "test_ages")
-    if cross is not None and cross.shape != (xt.shape[0], model.n_training):
+    if cross is not None and cross.shape != (xt.shape[0], model.x.shape[0]):
         raise ValueError("cross was built for a different test set or model")
     identity = math.isinf(age_params.age_length_scale) and age_params.age_noise_variance == 0.0
     if identity:

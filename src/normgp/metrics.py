@@ -47,15 +47,6 @@ class CvFold:
     train_features: np.ndarray
 
 
-def prediction_error(y_hat, y) -> np.ndarray:
-    """Signed prediction error: predicted age minus chronological age."""
-    y_hat = np.asarray(y_hat, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y_hat.shape[0] != y.shape[0]:
-        raise ValueError(f"length mismatch: {y_hat.shape[0]} predictions vs {y.shape[0]} ages")
-    return y_hat - y
-
-
 def score_cohort(
     model: TrainedModel,
     cohort: Cohort,
@@ -81,7 +72,7 @@ def score_cohort(
         age=cohort.age,
         diagnosis=cohort.diagnosis or ("",) * cohort.n_subjects,
         y_hat=weighted.y_hat,
-        epsilon=prediction_error(weighted.y_hat, cohort.age),
+        epsilon=weighted.y_hat - cohort.age,
         cov=weighted.unweighted_variance,
         cov_w=weighted.variance,
     )

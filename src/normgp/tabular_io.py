@@ -349,10 +349,6 @@ class ScoresTable:
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_subjects(self) -> int:
-        return len(self.subject_ids)
-
 
 def save_scores(table: ScoresTable, path) -> None:
     """Write the scores CSV with the fixed header order."""
@@ -368,7 +364,8 @@ def load_scores(path) -> ScoresTable:
 
     The ``id`` and ``diagnosis`` cells are kept as written. The numeric
     columns are checked in header order; the first empty, unparsable or
-    non-finite cell of each raises a parse error naming its row and column.
+    non-finite cell of each, or negative one of ``cov`` and ``cov_w``,
+    raises a parse error naming its row and column.
     """
     header, read_columns = _read_csv(path)
     if tuple(header) != SCORES_HEADER:
@@ -376,10 +373,12 @@ def load_scores(path) -> ScoresTable:
             f"{path}: expected header {','.join(SCORES_HEADER)}, got {','.join(header)}"
         )
     columns = read_columns()
-    numbers = {
-        name: _numbers(path, name, columns[name])
-        for name in SCORES_HEADER if name not in ("id", "diagnosis")
-    }
+    numbers = {}
+    for name in ("age", "y_hat", "epsilon", "cov", "cov_w"):
+        values = numbers[name] = _numbers(path, name, columns[name])
+        if name in ("cov", "cov_w") and np.any(values < 0.0):
+            row = int(np.argmax(values < 0.0))
+            raise _bad_cell(path, row, name, f"negative variance {columns[name][row].strip()!r}")
     return ScoresTable(subject_ids=columns["id"], diagnosis=columns["diagnosis"], **numbers)
 
 
@@ -475,7 +474,7 @@ def artifact_from_fit(
     """Bundle a trained model with its preprocessing chain for persistence."""
     metadata = FitMetadata(
         log_marginal=model.log_marginal_likelihood,
-        restarts_used=max(len(model.restart_log_marginals), 1),
+        restarts_used=len(model.restart_log_marginals),
         restart_log_marginals=model.restart_log_marginals,
         seed=seed,
         chosen_restart=model.chosen_restart,
@@ -602,9 +601,20 @@ def _read_section(next_line, tag: str, kind):
 
 
 def load_model(path) -> ModelArtifact:
-    """Parse a model artifact, verifying version, structure, and terminator."""
+    """Parse a model artifact, verifying version, structure, and terminator.
+
+    Every ``ModelFormatError`` names the file: its message starts ``PATH: ``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = iter(handle.read().splitlines())
+    try:
+        return _parse_model(lines)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _parse_model(lines) -> ModelArtifact:
+    """The artifact held by a model file's ``lines``."""
 
     def next_line() -> str:
         line = next(lines, None)
@@ -614,14 +624,14 @@ def load_model(path) -> ModelArtifact:
 
     first = next_line().split()
     if len(first) != 2 or first[0] != _MODEL_MAGIC or not first[1].startswith("v"):
-        raise ModelFormatError(f"{path}: not a model file (bad magic line)")
+        raise ModelFormatError("not a model file (bad magic line)")
     try:
         version = int(first[1][1:])
     except ValueError:
-        raise ModelFormatError(f"{path}: malformed version {first[1]!r}") from None
+        raise ModelFormatError(f"malformed version {first[1]!r}") from None
     if version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: unsupported format version {version} (supported: {FORMAT_VERSION})"
+            f"unsupported format version {version} (supported: {FORMAT_VERSION})"
         )
     fields = {tag: _read_section(next_line, tag, kind) for tag, kind in _MODEL_SECTIONS}
     terminator = next_line()
@@ -653,4 +663,4 @@ def load_model(path) -> ModelArtifact:
             y_offset=fields["y_offset"],
         )
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: inconsistent model contents: {exc}") from None
+        raise ModelFormatError(f"inconsistent model contents: {exc}") from None

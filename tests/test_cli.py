@@ -95,7 +95,7 @@ def test_full_pipeline(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     assert main(["score", str(model), str(test), "--out", str(scores)]) == 0
     table = load_scores(scores)
-    assert table.n_subjects == 50
+    assert len(table.subject_ids) == 50
     # default age weighting is infinite: weighted and plain variances agree
     assert np.max(np.abs(table.cov_w - table.cov)) <= 1e-12
 
@@ -447,6 +447,25 @@ def test_fit_warns_when_the_model_explains_nothing(tmp_path, capsys):
         assert captured.err.splitlines() == [f"warning: {text}" for text in report["warnings"]]
 
 
+def test_fit_on_one_age_reports_r2_as_nan(tmp_path, capsys):
+    # centred ages are all 0: the restarts start from a unit age variance,
+    # no fold has an R2, and the report writes each as "nan"
+    train = tmp_path / "train.csv"
+    features = np.random.default_rng(1).normal(size=(30, 2))
+    save_cohort(Cohort(tuple(f"s{i}" for i in range(30)), features, ("a", "b"),
+                       np.full(30, 50.0)), train)
+    capsys.readouterr()
+    argv = ["fit", str(train), "--out", str(tmp_path / "m"), "--restarts", "1", "--folds", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    report = json.loads((tmp_path / "m.report.json").read_text())
+    assert report["quality"]["r2"] == "nan"
+    assert [fold["r2"] for fold in report["quality"]["per_fold"]] == ["nan"] * 3
+    assert len(report["warnings"]) == 1 and "noise variance" in report["warnings"][0]
+    assert captured.err == f"warning: {report['warnings'][0]}\n"
+    assert "R2=nan" in captured.out
+
+
 @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"], ids=["lf", "ff", "ls"])
 def test_fit_rejects_a_feature_name_that_is_not_one_line(tmp_path, capsys, brk):
     # the model file keeps one feature name a line, and load_model splits it
@@ -508,6 +527,23 @@ def test_stage_refuses_an_output_that_names_an_input(stage_inputs, tmp_path, mon
     assert f"error: {flag}" in capsys.readouterr().err
     # every input is unchanged, and nothing new was written
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "s.csv", "--out", "e.json", "--groups", "HC"],
+     "--groups needs two distinct comma-separated labels, got 'HC'"),
+    (["sweep", "m.txt", "test.csv", "--out", "w.csv", "--ly-grid", "1,ten"],
+     "--ly-grid must be comma-separated numbers, got '1,ten'"),
+    (["sweep", "m.txt", "test.csv", "--out", "w.csv", "--ly-grid", " , "],
+     "--ly-grid must contain at least one value"),
+], ids=["groups", "grid-not-a-number", "grid-empty"])
+def test_stage_rejects_a_bad_option_value(stage_inputs, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(stage_inputs)
+    before = sorted(stage_inputs.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "-q"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(stage_inputs.iterdir()) == before
 
 
 @pytest.mark.parametrize("error, code, prefix", [

@@ -469,6 +469,8 @@ def test_fit_input_validation():
         fit(np.array([[1.0], [np.nan]]), np.array([50.0, 60.0]))
     with pytest.raises(ValueError):
         fit(np.array([[1.0], [2.0]]), np.array([50.0, np.inf]))
+    with pytest.raises(ValueError, match="X must be a 2-D matrix"):
+        fit(np.ones(3), np.array([50.0, 60.0, 70.0]))
 
 
 def test_fit_config_holds_only_the_settings_callers_set():

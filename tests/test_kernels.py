@@ -93,6 +93,8 @@ def test_kernel_params_validation():
         KernelParams(length_scales=np.array([1.0, math.inf]))
     with pytest.raises(ValueError):
         KernelParams(length_scales=np.ones(2), noise_variance=-0.1)
+    with pytest.raises(ValueError, match="length_scales must be a 1-D vector"):
+        KernelParams(length_scales=np.ones((2, 2)))
 
 
 def test_age_similarity_examples():
@@ -292,6 +294,8 @@ def test_gram_requires_matching_dimensions():
         gram_matrix(np.ones((3, 3)), np.ones((3, 3)), params, SUM)
     with pytest.raises(ValueError):
         gram_matrix(np.ones((3, 2)), np.ones((3, 3)), params, SUM)
+    with pytest.raises(ValueError, match="a must be a 2-D matrix of feature rows"):
+        gram_matrix(np.ones((3, 2, 2)), np.ones((3, 2)), params, SUM)
     # same_set demands identical row counts
     with pytest.raises(ValueError):
         gram_matrix(np.ones((3, 2)), np.ones((4, 2)), params, SUM, same_set=True)

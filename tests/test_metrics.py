@@ -17,7 +17,6 @@ from normgp.kernels import SUM, AgeKernelParams, KernelParams, gram_matrix
 from normgp.metrics import (
     cross_validated_quality,
     fit_warnings,
-    prediction_error,
     score_cohort,
     split_folds,
 )
@@ -25,24 +24,6 @@ from normgp.preprocess import apply_chain, fit_chain, fit_pca, fit_standardizer
 from normgp.seeding import FOLDS, substream
 from normgp.synth import SynthConfig, generate_cohort
 from normgp.tabular_io import Cohort
-
-
-def test_prediction_error_examples():
-    assert np.array_equal(prediction_error([70.0], [65.0]), [5.0])
-    assert np.array_equal(prediction_error([60.0], [70.0]), [-10.0])
-    y = np.array([30.0, 40.0, 50.0])
-    assert np.array_equal(prediction_error(y, y), np.zeros(3))
-    with pytest.raises(ValueError):
-        prediction_error([1.0], [1.0, 2.0])
-
-
-def test_prediction_error_translation_consistency():
-    rng = np.random.default_rng(0)
-    y_hat = rng.uniform(20, 80, 30)
-    y = rng.uniform(20, 80, 30)
-    base = prediction_error(y_hat, y)
-    shifted = prediction_error(y_hat + 512.0, y + 512.0)
-    assert np.allclose(base, shifted, atol=1e-9)
 
 
 def _toy_model_and_cohort(n_test=8, seed=1):
@@ -286,6 +267,12 @@ def test_cross_validated_quality_fold_bounds():
         split_folds(x, 1, 0)
     with pytest.raises(ValueError):
         split_folds(x, 7, 0)
+    with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+        split_folds(x.ravel(), 2, 0)
+    params = KernelParams(length_scales=np.ones(1))
+    for features, ages in ((x.ravel(), x.ravel()), (x, x.ravel()[:-1])):
+        with pytest.raises(ValueError, match="features must be 2-D with one row per y entry"):
+            cross_validated_quality(features, ages, (), FitConfig(), params)
 
 
 def test_split_folds_partitions_the_rows_and_transforms_only_training_rows():

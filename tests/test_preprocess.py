@@ -46,6 +46,8 @@ def test_row_at_training_mean_maps_to_zeros():
 def test_standardizer_needs_two_rows_and_matching_width():
     with pytest.raises(ValueError):
         fit_standardizer(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+        fit_standardizer(np.ones(3))
     standardizer = fit_standardizer(np.random.default_rng(2).normal(size=(5, 3)))
     with pytest.raises(ValueError):
         standardizer.apply(np.ones((2, 4)))

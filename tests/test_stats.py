@@ -277,6 +277,12 @@ def test_roc_requires_both_classes():
         roc_auc([1.0], [0, 1])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_non_finite_scores(value):
+    with pytest.raises(ValueError, match="scores contain non-finite values"):
+        roc_auc([1.0, value, 2.0], [0, 1, 1])
+
+
 # ---------------------------------------------------------------------------
 # Pearson correlation
 # ---------------------------------------------------------------------------
@@ -404,6 +410,10 @@ def test_fixed_effects_input_validation():
     with pytest.raises(ValueError):
         # all-diseased sample: dx column collinear with the intercept
         fit_fixed_effects(volume, age, sex, np.ones_like(dx))
+    with pytest.raises(ValueError, match="volume contains non-finite values"):
+        fit_fixed_effects(np.where(dx == 1.0, np.nan, volume), age, sex, dx)
+    with pytest.raises(ValueError, match="age is constant"):
+        fit_fixed_effects(volume, np.full_like(age, 50.0), sex, dx)
 
 
 # ---------------------------------------------------------------------------

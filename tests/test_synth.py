@@ -150,6 +150,8 @@ def test_config_validation():
         SynthConfig(n_healthy=10, noise_std=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(n_healthy=10, deviation_magnitude=-2.0)
+    with pytest.raises(ValueError, match="n_features must be at least 1"):
+        sample_trajectory(0)
 
 
 def test_healthy_cohort_supports_an_accurate_age_regression():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from normgp.errors import CohortParseError, ModelFormatError, SchemaError
 from normgp.gpr import FitConfig, fit, predict, restore
 from normgp.kernels import SUM, KernelParams
-from normgp.preprocess import fit_pca, fit_standardizer
+from normgp.preprocess import PcaTransform, Standardizer, fit_pca, fit_standardizer
 from normgp import tabular_io
 from normgp.tabular_io import (
     SCORES_HEADER,
@@ -76,6 +78,8 @@ def test_structural_errors(tmp_path):
         load_cohort(write(tmp_path / "dup.csv", "age,v1,v1\n50,1,2\n"))
     with pytest.raises(SchemaError, match="no feature columns"):
         load_cohort(write(tmp_path / "nofeat.csv", "id,age\na,50\n"))
+    with pytest.raises(SchemaError, match="header has an unnamed column"):
+        load_cohort(write(tmp_path / "unnamed.csv", "age, ,v1\n50,1,2\n"))
 
 
 def test_header_errors_come_before_row_errors(tmp_path):
@@ -248,6 +252,12 @@ def test_cohort_invariants():
         Cohort(("a",), np.array([[np.nan]]), ("v",), np.array([50.0]))
     with pytest.raises(ValueError):
         Cohort(("a",), np.ones((1, 1)), ("v",), np.array([0.0]))
+    with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+        Cohort(("a",), np.ones(1), ("v",), np.array([50.0]))
+    with pytest.raises(ValueError, match="feature_names length must match"):
+        Cohort(("a",), np.ones((1, 2)), ("v",), np.array([50.0]))
+    with pytest.raises(ValueError, match="sex length must match"):
+        Cohort(("a",), np.ones((1, 1)), ("v",), np.array([50.0]), sex=("F", "M"))
 
 
 @pytest.mark.parametrize("role", ["id", "age", "sex", "dx", "diagnosis"])
@@ -351,7 +361,7 @@ def test_scores_empty_table_and_round_trip(tmp_path):
     path = tmp_path / "empty.csv"
     save_scores(empty, path)
     assert path.read_text().splitlines() == ["id,age,diagnosis,y_hat,epsilon,cov,cov_w"]
-    assert load_scores(path).n_subjects == 0
+    assert load_scores(path).subject_ids == ()
 
     rng = np.random.default_rng(1)
     table = ScoresTable(
@@ -381,6 +391,9 @@ def test_scores_length_mismatch_is_contract_error():
             cov=np.array([1.0]),
             cov_w=np.array([1.0]),
         )
+    columns = _scores_columns()
+    with pytest.raises(ValueError, match="diagnosis length must match"):
+        ScoresTable(**{**columns, "diagnosis": columns["diagnosis"][:2]})
 
 
 def _scores_columns():
@@ -432,6 +445,24 @@ def test_scores_non_finite_cell_names_row_and_column(tmp_path, value):
         f"a,50,HC,51,1,0.5,0.5\nb,60,DX,58,-2,{value},0.7\n"
     )
     with pytest.raises(CohortParseError, match=r"row 3, column 'cov': non-finite"):
+        load_scores(path)
+
+
+@pytest.mark.parametrize("column", ["cov", "cov_w"])
+def test_scores_negative_variance_cell_names_row_and_column(tmp_path, column):
+    # a negative cov is reported before a later column's bad cell in an earlier row
+    cells = {"cov": "0.5", "cov_w": "0.7"}
+    cells[column] = " -1e-300"
+    path = write(
+        tmp_path / "s.csv",
+        "id,age,diagnosis,y_hat,epsilon,cov,cov_w\n"
+        f"a,50,HC,51,1,0.5,{'x' if column == 'cov' else 0.5}\n"
+        f"b,60,DX,58,-2,{cells['cov']},{cells['cov_w']}\n",
+    )
+    with pytest.raises(
+        CohortParseError,
+        match=rf"^{re.escape(path)}: row 3, column '{column}': negative variance '-1e-300'$",
+    ):
         load_scores(path)
 
 
@@ -582,16 +613,24 @@ def _without_training_rows(lines):
         (_replace_after_header("training_features", 3,
                                lambda line: line.split(" ", 1)[0] + " inf"),
          ModelFormatError, "edited.gp: .*training_features contains non-finite"),
+        (lambda lines: ["normative-gp-model vX", *lines[1:]], ModelFormatError,
+         "malformed version 'vX'"),
+        (_replace_after_header("std_devs", 1, lambda line: "0 " + line.split(" ", 1)[1]),
+         ModelFormatError, "inconsistent model contents: std_devs must be strictly positive"),
     ],
     ids=["wrong-tag", "non-integer-count", "matrix-header-arity", "int-header-arity",
          "non-numeric-vector-value", "vector-row-width", "matrix-row-width",
          "standardizer-2", "pca-negative", "negative-length", "unknown-kernel",
          "cut-inside-matrix", "no-end", "no-training-rows", "non-finite-y-offset",
-         "nan-training-age", "inf-training-feature"],
+         "nan-training-age", "inf-training-feature", "malformed-version", "zero-std-dev"],
 )
 def test_model_malformed_section(tmp_path, edit, error, message):
-    with pytest.raises(error, match=message):
-        load_model(_edited_model(tmp_path, edit))
+    # every message names the file, once, at its start
+    path = _edited_model(tmp_path, edit)
+    with pytest.raises(error, match=message) as caught:
+        load_model(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert str(caught.value).count(str(path)) == 1
 
 
 def test_model_round_trip_preserves_tiny_length_scale(tmp_path):
@@ -705,6 +744,16 @@ def test_artifact_dimension_validation():
     model = restore(x, y, KernelParams(length_scales=np.ones(2)), SUM)
     with pytest.raises(ValueError):
         artifact_from_fit(model, ("only_one",))
+    # the chained model: three raw features, a standardizer, two components
+    artifact = _small_artifact(with_chain=True)
+    for change, message in (
+        ({"training_ages": artifact.training_ages[:-1]}, "row counts must match"),
+        ({"kernel_params": KernelParams(length_scales=np.ones(3))}, "dimensionality must match"),
+        ({"standardizer": Standardizer(np.zeros(2), np.ones(2))}, "standardizer dimension"),
+        ({"pca": PcaTransform(np.zeros(2), np.eye(2), np.ones(2))}, "pca input dimension"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(artifact, **change)
 
 
 @pytest.mark.parametrize("brk", ["\n", "\x0c", "\u2028"], ids=["lf", "ff", "ls"])
