@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import gpr, metrics, stats, synth, tabular_io
-from .errors import NumericalError
+from .errors import ModelFormatError, NumericalError
 from .kernels import FORMS, SUM, AgeKernelParams
 from .preprocess import fit_chain
 
@@ -79,11 +79,20 @@ def _refuse_overwrites(inputs: dict, outputs: dict) -> None:
 
 
 def _load_model_chain(path: str):
+    """The model file at ``path`` and the model rebuilt from it, which must
+    have the stored log marginal likelihood (to 1e-9 relative)."""
     artifact = tabular_io.load_model(path)
     try:
-        return artifact, tabular_io.to_trained_model(artifact)
+        model = tabular_io.to_trained_model(artifact)
     except NumericalError as exc:
         raise NumericalError(f"model {path}: {exc}") from exc
+    stored = artifact.fit_metadata.log_marginal
+    if not math.isclose(model.log_marginal_likelihood, stored, rel_tol=1e-9):
+        raise ModelFormatError(
+            f"{path}: the rebuilt model's log marginal likelihood "
+            f"{model.log_marginal_likelihood!r} is not the stored {stored!r}"
+        )
+    return artifact, model
 
 
 def cmd_fit(args) -> int:
@@ -98,9 +107,7 @@ def cmd_fit(args) -> int:
     )
     config = gpr.FitConfig(form=args.kernel, restarts=args.restarts, seed=args.seed)
     model = gpr.fit(features, cohort.age, config)
-    quality = metrics.cross_validated_quality(
-        cohort.features, cohort.age, folds, config, model.params
-    )
+    quality = metrics.cross_validated_quality(cohort.age, folds, config, model.params)
     warnings = metrics.fit_warnings(model, quality)
     artifact = tabular_io.artifact_from_fit(
         model,
@@ -155,11 +162,9 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     _refuse_overwrites({"model": args.model, "test_csv": args.test_csv}, {"--out": args.out})
+    age_params = AgeKernelParams(args.age_length_scale, args.age_noise)
     artifact, model = _load_model_chain(args.model)
     cohort = tabular_io.load_cohort(args.test_csv)
-    age_params = AgeKernelParams(
-        age_length_scale=args.age_length_scale, age_noise_variance=args.age_noise
-    )
     scores = metrics.score_cohort(
         model,
         cohort,
@@ -179,8 +184,8 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     _refuse_overwrites({"scores_csv": args.scores_csv}, {"--out": args.out})
-    table = tabular_io.load_scores(args.scores_csv)
     groups = _parse_groups(args.groups)
+    table = tabular_io.load_scores(args.scores_csv)
     metric_names = tuple(part.strip() for part in args.metrics.split(",") if part.strip())
     report = stats.evaluate_scores(
         table, groups, metric_names, absolute_epsilon=args.abs_epsilon
@@ -210,10 +215,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _refuse_overwrites({"model": args.model, "test_csv": args.test_csv}, {"--out": args.out})
-    artifact, model = _load_model_chain(args.model)
-    cohort = tabular_io.load_cohort(args.test_csv)
     groups = _parse_groups(args.groups)
     grid = _parse_grid(args.ly_grid)
+    artifact, model = _load_model_chain(args.model)
+    cohort = tabular_io.load_cohort(args.test_csv)
     result = stats.ly_sweep(
         model,
         cohort,

@@ -38,13 +38,12 @@ CV_PROTOCOL = {
 
 @dataclass(frozen=True)
 class CvFold:
-    """One cross-validation fold: its held-out row indices, the preprocessing
-    fitted on its other rows, and those training rows transformed by it."""
+    """One cross-validation fold: its held-out row indices, then its training
+    and held-out rows through the preprocessing fitted on the former."""
 
     held_out: np.ndarray
-    standardizer: Standardizer | None
-    pca: PcaTransform | None
     train_features: np.ndarray
+    held_out_features: np.ndarray
 
 
 def score_cohort(
@@ -97,7 +96,8 @@ def split_folds(
 ) -> tuple[CvFold, ...]:
     """Split the rows into folds and fit each fold's preprocessing on its
     training rows only: a standardizer and PCA as asked by ``standardize``
-    and ``n_components``, on raw ``features``.
+    and ``n_components``, on raw ``features``. Each fold's held-out rows
+    then go through that preprocessing.
 
     Fold assignment is a seeded permutation split (deterministic given
     ``seed``). This needs no GP fit, so callers run it before fitting
@@ -118,32 +118,32 @@ def split_folds(
     order = substream(seed, FOLDS).permutation(m)
     split = []
     for index, held_out in enumerate(np.array_split(order, folds)):
-        mask = np.ones(m, dtype=bool)
-        mask[held_out] = False
         try:
             if m - held_out.size < 2:
                 raise ValueError("a GP fit needs at least 2 training rows")
-            standardizer, pca, train = fit_chain(x[mask], standardize, n_components)
+            standardizer, pca, train = fit_chain(
+                np.delete(x, held_out, axis=0), standardize, n_components
+            )
         except ValueError as exc:
             raise SchemaError(
                 f"cross-validation fold {index} (of folds 0-{folds - 1}) has "
                 f"{m - held_out.size} training rows, which cannot carry the "
                 f"fold's preprocessing and fit: {exc}"
             ) from None
-        split.append(CvFold(held_out, standardizer, pca, train))
+        split.append(CvFold(held_out, train, apply_chain(x[held_out], standardizer, pca)))
     return tuple(split)
 
 
 def cross_validated_quality(
-    features, y, folds: tuple[CvFold, ...], config: FitConfig, start: KernelParams
+    y, folds: tuple[CvFold, ...], config: FitConfig, start: KernelParams
 ) -> dict:
     """Cross-validated MAE and R2 of the age regression, without leaks.
 
-    ``features`` are raw and ``folds`` come from ``split_folds``, so each
-    fold's held-out rows go through the preprocessing fitted on its
-    training rows only. Each fold then runs one L-BFGS-B restart on its
-    training rows, starting from ``start``, the optimum chosen on all rows
-    (``CV_PROTOCOL``); its training-row log marginal likelihood at
+    ``folds`` come from ``split_folds``, so each fold's rows went through
+    the preprocessing fitted on its training rows only; their held-out rows
+    cover each ``y`` row once. Each fold then runs one L-BFGS-B restart on
+    its training rows, starting from ``start``, the optimum chosen on all
+    rows (``CV_PROTOCOL``); its training-row log marginal likelihood at
     ``start`` and at its end are reported next to its MAE and R2.
 
     Returns the fit report's ``quality`` block: ``mae`` and ``r2`` of the
@@ -151,20 +151,18 @@ def cross_validated_quality(
     ``CV_PROTOCOL``) and one ``per_fold`` entry per fold. A fold whose
     held-out ages are constant reports R2 = nan rather than failing.
     """
-    x = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be 2-D with one row per y entry")
-    m = x.shape[0]
+    m = y.shape[0]
+    rows = np.concatenate([fold.held_out for fold in folds] or [np.empty(0, dtype=int)])
+    # Counted, not sorted: a sort's copy would add to the fit's peak memory.
+    if rows.size != m or (m and (rows.min() < 0 or np.any(np.bincount(rows, minlength=m) != 1))):
+        raise ValueError(f"the folds' held-out rows must cover rows 0-{m - 1} exactly once")
 
     pooled = np.empty(m)
     per_fold = []
     for index, fold in enumerate(folds):
-        mask = np.ones(m, dtype=bool)
-        mask[fold.held_out] = False
-        fold_model = fit(fold.train_features, y[mask], config, start=start)
-        held_out = apply_chain(x[fold.held_out], fold.standardizer, fold.pca)
-        predicted = predict(fold_model, held_out).y_hat
+        fold_model = fit(fold.train_features, np.delete(y, fold.held_out), config, start=start)
+        predicted = predict(fold_model, fold.held_out_features).y_hat
         pooled[fold.held_out] = predicted
         mae, r2 = _mae_and_r2(predicted, y[fold.held_out])
         per_fold.append({

@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -392,7 +392,8 @@ def save_sweep(result, path) -> None:
 
 @dataclass(frozen=True)
 class FitMetadata:
-    """Optimizer trace summary stored with the model."""
+    """Optimizer trace summary stored with the model: one log marginal
+    likelihood per restart used, and the chosen restart's as ``log_marginal``."""
 
     log_marginal: float
     restarts_used: int
@@ -401,10 +402,16 @@ class FitMetadata:
     chosen_restart: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "restart_log_marginals",
-            tuple(float(v) for v in self.restart_log_marginals),
-        )
+        values = tuple(float(v) for v in self.restart_log_marginals)
+        object.__setattr__(self, "restart_log_marginals", values)
+        n = len(values)
+        if self.restarts_used != n:
+            raise ValueError(f"restarts_used is {self.restarts_used}, but {n} restarts are stored")
+        if not 0 <= self.chosen_restart < n:
+            raise ValueError(f"chosen_restart {self.chosen_restart} is outside restarts 0-{n - 1}")
+        chosen = values[self.chosen_restart]
+        if not math.isclose(self.log_marginal, chosen, rel_tol=1e-9):
+            raise ValueError(f"log_marginal {self.log_marginal!r} is not the chosen {chosen!r}")
 
 
 @dataclass(frozen=True)
@@ -511,17 +518,18 @@ def to_trained_model(artifact: ModelArtifact) -> gpr.TrainedModel:
 #   names: a count, then one name per line;
 #   vector: a length, then one line of numbers;
 #   matrix: rows and columns, then one line of numbers per row.
-# A tuple kind is an optional block, ``tag 0`` alone or ``tag 1`` followed by
-# its sections, which are the fields of the block's object. Every other tag
-# is a field of ModelArtifact, KernelParams or FitMetadata.
+# A tuple kind ``(class, sections)`` is an optional block, ``tag 0`` alone or
+# ``tag 1`` followed by its sections, which are the fields of the class. Every
+# other tag is a field of ModelArtifact or of one of its _NESTED dataclasses.
 _MODEL_SECTIONS = (
     ("kernel_form", "word"),
     ("y_offset", "float"),
     ("feature_names", "names"),
     ("length_scales", "vector"),
     ("noise_variance", "float"),
-    ("standardizer", (("means", "vector"), ("std_devs", "vector"))),
-    ("pca", (("mean", "vector"), ("components", "matrix"), ("explained_variance", "vector"))),
+    ("standardizer", (Standardizer, (("means", "vector"), ("std_devs", "vector")))),
+    ("pca", (PcaTransform, (("mean", "vector"), ("components", "matrix"),
+                            ("explained_variance", "vector")))),
     ("training_features", "matrix"),
     ("training_ages", "vector"),
     ("log_marginal", "float"),
@@ -530,6 +538,7 @@ _MODEL_SECTIONS = (
     ("seed", "int"),
     ("chosen_restart", "int"),
 )
+_NESTED = (("kernel_params", KernelParams), ("fit_metadata", FitMetadata))
 
 
 def _section_lines(tag: str, kind, value) -> list[str]:
@@ -538,7 +547,7 @@ def _section_lines(tag: str, kind, value) -> list[str]:
         if value is None:
             return [f"{tag} 0"]
         lines = [f"{tag} 1"]
-        for field, field_kind in kind:
+        for field, field_kind in kind[1]:
             lines.extend(_section_lines(field, field_kind, getattr(value, field)))
         return lines
     if kind == "names":
@@ -553,7 +562,9 @@ def _section_lines(tag: str, kind, value) -> list[str]:
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Serialize a model artifact to the versioned text format."""
-    values = {**vars(artifact), **vars(artifact.kernel_params), **vars(artifact.fit_metadata)}
+    values = vars(artifact).copy()
+    for name, _ in _NESTED:
+        values.update(vars(getattr(artifact, name)))
     lines = [f"{_MODEL_MAGIC} v{FORMAT_VERSION}"]
     for tag, kind in _MODEL_SECTIONS:
         lines.extend(_section_lines(tag, kind, values[tag]))
@@ -583,7 +594,7 @@ def _read_section(next_line, tag: str, kind):
             raise ModelFormatError(f"{tag} flag must be 0 or 1")
         if not payload[0]:
             return None
-        return {field: _read_section(next_line, field, k) for field, k in kind}
+        return {field: _read_section(next_line, field, k) for field, k in kind[1]}
     if min(payload) < 0:
         raise ModelFormatError(f"{tag!r} sizes must be non-negative, got {header!r}")
     if kind == "names":
@@ -633,34 +644,19 @@ def _parse_model(lines) -> ModelArtifact:
         raise ModelFormatError(
             f"unsupported format version {version} (supported: {FORMAT_VERSION})"
         )
-    fields = {tag: _read_section(next_line, tag, kind) for tag, kind in _MODEL_SECTIONS}
+    sections = {tag: _read_section(next_line, tag, kind) for tag, kind in _MODEL_SECTIONS}
     terminator = next_line()
     if terminator != "end":
         raise ModelFormatError(f"expected 'end' terminator, found {terminator!r}")
     if next(lines, None) is not None:
         raise ModelFormatError("unexpected content after 'end' terminator")
 
-    standardizer, pca = fields["standardizer"], fields["pca"]
     try:
-        return ModelArtifact(
-            kernel_form=fields["kernel_form"],
-            feature_names=fields["feature_names"],
-            training_features=fields["training_features"],
-            training_ages=fields["training_ages"],
-            kernel_params=KernelParams(
-                length_scales=fields["length_scales"],
-                noise_variance=fields["noise_variance"],
-            ),
-            fit_metadata=FitMetadata(
-                log_marginal=fields["log_marginal"],
-                restarts_used=fields["restarts_used"],
-                restart_log_marginals=fields["restart_log_marginals"],
-                seed=fields["seed"],
-                chosen_restart=fields["chosen_restart"],
-            ),
-            standardizer=Standardizer(**standardizer) if standardizer else None,
-            pca=PcaTransform(**pca) if pca else None,
-            y_offset=fields["y_offset"],
-        )
+        for name, nested in _NESTED:
+            sections[name] = nested(**{f.name: sections.pop(f.name) for f in fields(nested)})
+        for tag, kind in _MODEL_SECTIONS:
+            if isinstance(kind, tuple) and sections[tag] is not None:
+                sections[tag] = kind[0](**sections[tag])
+        return ModelArtifact(**sections)
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent model contents: {exc}") from None

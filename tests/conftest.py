@@ -7,6 +7,7 @@ explicit dense inversion. Slow but independently checkable.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -145,3 +146,19 @@ def random_age_params(rng):
     return AgeKernelParams(
         age_length_scale=scale, age_noise_variance=float(rng.uniform(0.0, 0.3))
     )
+
+
+def enumerated_two_sided_p(a, b):
+    """Brute-force exact two-sided rank-sum p: the share of all splits of the
+    pooled ranks whose |U - n1 n2 / 2| is at least the observed one."""
+    ranks = naive_midranks(np.concatenate([a, b]))[0]
+    n1 = len(a)
+    center = n1 * len(b) / 2
+    observed = abs(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2 - center)
+    hits = total = 0
+    for combo in itertools.combinations(range(len(ranks)), n1):
+        total += 1
+        u = np.sum(ranks[list(combo)]) - n1 * (n1 + 1) / 2
+        if abs(u - center) >= observed - 1e-9:
+            hits += 1
+    return hits / total

@@ -6,15 +6,13 @@ addition to the usual pytest outcome, so a plain ``pytest tests/test_acceptance.
 -q`` run reads as a checklist.
 """
 
-import itertools
 import json
 import math
 import time
 
 import numpy as np
-import scipy.stats
 
-from conftest import naive_posterior, random_age_params, random_instance
+from conftest import enumerated_two_sided_p, naive_posterior, random_age_params, random_instance
 
 from normgp.cli import main as cli_main
 from normgp.gpr import (
@@ -232,21 +230,6 @@ def test_criterion_5_planted_deviations_are_detected_by_the_right_metric(capsys)
     assert elapsed < 120.0
 
 
-def _enumerated_two_sided_p(a, b):
-    pooled = np.concatenate([a, b])
-    n1 = len(a)
-    ranks = scipy.stats.rankdata(pooled)
-    center = n1 * len(b) / 2
-    observed = abs(np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2 - center)
-    hits = total = 0
-    for combo in itertools.combinations(range(len(pooled)), n1):
-        total += 1
-        u = np.sum(ranks[list(combo)]) - n1 * (n1 + 1) / 2
-        if abs(u - center) >= observed - 1e-9:
-            hits += 1
-    return hits / total
-
-
 def test_criterion_6_statistics_oracles_and_null_calibration(capsys):
     rng = np.random.default_rng(20240106)
 
@@ -258,7 +241,7 @@ def test_criterion_6_statistics_oracles_and_null_calibration(capsys):
         b = rng.normal(float(rng.uniform(-1, 1)), 1.0, size=n2)
         result = rank_sum_test(a, b)
         assert result.method == "exact"
-        rank_worst = max(rank_worst, abs(result.p_value - _enumerated_two_sided_p(a, b)))
+        rank_worst = max(rank_worst, abs(result.p_value - enumerated_two_sided_p(a, b)))
 
     auc_worst = 0.0
     for _ in range(100):

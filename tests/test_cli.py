@@ -529,14 +529,24 @@ def test_stage_refuses_an_output_that_names_an_input(stage_inputs, tmp_path, mon
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+# Every input named here is missing: reading one first would exit 1 with "io error:".
 @pytest.mark.parametrize("argv, message", [
-    (["evaluate", "s.csv", "--out", "e.json", "--groups", "HC"],
+    (["evaluate", "missing.csv", "--out", "e.json", "--groups", "HC"],
      "--groups needs two distinct comma-separated labels, got 'HC'"),
-    (["sweep", "m.txt", "test.csv", "--out", "w.csv", "--ly-grid", "1,ten"],
+    (["sweep", "missing.normgp", "test.csv", "--out", "w.csv", "--ly-grid", "1,ten"],
      "--ly-grid must be comma-separated numbers, got '1,ten'"),
-    (["sweep", "m.txt", "test.csv", "--out", "w.csv", "--ly-grid", " , "],
+    (["sweep", "missing.normgp", "test.csv", "--out", "w.csv", "--ly-grid", " , "],
      "--ly-grid must contain at least one value"),
-], ids=["groups", "grid-not-a-number", "grid-empty"])
+    (["sweep", "missing.normgp", "missing.csv", "--out", "w.csv", "--ly-grid", "abc"],
+     "--ly-grid must be comma-separated numbers, got 'abc'"),
+    (["sweep", "missing.normgp", "missing.csv", "--out", "w.csv", "--groups", "HC,HC"],
+     "--groups needs two distinct comma-separated labels, got 'HC,HC'"),
+    (["score", "missing.normgp", "missing.csv", "--out", "s.csv", "--age-length-scale", "-1"],
+     "age_length_scale must be > 0 (infinity allowed)"),
+    (["score", "missing.normgp", "missing.csv", "--out", "s.csv", "--age-noise", "-1"],
+     "age_noise_variance must be finite and >= 0"),
+], ids=["groups", "grid-not-a-number", "grid-empty", "sweep-grid-before-inputs",
+        "sweep-groups-before-inputs", "score-age-length-scale", "score-age-noise"])
 def test_stage_rejects_a_bad_option_value(stage_inputs, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(stage_inputs)
     before = sorted(stage_inputs.iterdir())
@@ -717,6 +727,23 @@ def test_truncated_model_file_fails_with_schema_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _changed_number(tag, offset, change):
+    """An edit of a model file's text: ``change`` the first number on the line
+    ``offset`` lines after the ``tag`` header (the header's own value at 0)."""
+
+    def edit(text):
+        lines = text.split("\n")
+        at = next(i for i, line in enumerate(lines) if line.split(" ")[0] == tag) + offset
+        values = lines[at].split(" ")
+        values[1 - offset] = repr(change(float(values[1 - offset])))
+        lines[at] = " ".join(values)
+        return "\n".join(lines)
+
+    return edit
+
+
+# The last four files still parse and agree with themselves, but their stored
+# log marginal likelihood is no longer the one their contents give.
 @pytest.mark.parametrize(
     "edit, reason",
     [
@@ -726,8 +753,15 @@ def test_truncated_model_file_fails_with_schema_exit(tmp_path, capsys):
         (lambda text: "\n".join("y_offset nan" if line.startswith("y_offset ") else line
                                 for line in text.split("\n")),
          "y_offset must be finite"),
+        (_changed_number("training_ages", 1, lambda age: age + 30.0), "log marginal likelihood"),
+        (_changed_number("training_features", 1, lambda x: x + 1.0), "log marginal likelihood"),
+        (_changed_number("length_scales", 1, lambda scale: 2.0 * scale),
+         "log marginal likelihood"),
+        (_changed_number("noise_variance", 0, lambda noise: 2.0 * noise),
+         "log marginal likelihood"),
     ],
-    ids=["no-training-rows", "non-finite-y-offset"],
+    ids=["no-training-rows", "non-finite-y-offset", "training-age", "training-feature",
+         "length-scale", "noise-variance"],
 )
 def test_degenerate_model_file_fails_score_and_sweep_with_schema_exit(
     tmp_path, capsys, edit, reason

@@ -15,6 +15,7 @@ from normgp.gpr import (
 )
 from normgp.kernels import SUM, AgeKernelParams, KernelParams, gram_matrix
 from normgp.metrics import (
+    CvFold,
     cross_validated_quality,
     fit_warnings,
     score_cohort,
@@ -213,7 +214,7 @@ def _cv(x, y, folds, config, **chain):
     """Cross-validate warm-started from the full-data fit, as ``normgp fit`` does."""
     split = split_folds(x, folds, config.seed, **chain)
     full = fit(fit_chain(x, **chain)[2], y, config)
-    return cross_validated_quality(x, y, split, config, full.params)
+    return cross_validated_quality(y, split, config, full.params)
 
 
 def test_cross_validated_quality_perfect_predictor():
@@ -242,7 +243,7 @@ def test_cross_validated_quality_constant_predictor_has_nonpositive_r2(monkeypat
     y = rng.uniform(20, 80, 30)
     frozen = KernelParams(length_scales=np.full(2, 1e6), noise_variance=1.0)
     _fit_at(monkeypatch, frozen)
-    report = cross_validated_quality(x, y, split_folds(x, 5, 0), FitConfig(), frozen)
+    report = cross_validated_quality(y, split_folds(x, 5, 0), FitConfig(), frozen)
     assert report["r2"] <= 0.05
 
 
@@ -252,7 +253,7 @@ def test_cross_validated_quality_leave_one_out(monkeypatch):
     x = np.column_stack([y + rng.normal(0, 0.5, 9)])
     params = KernelParams(length_scales=np.array([20.0]), noise_variance=0.5)
     _fit_at(monkeypatch, params)
-    report = cross_validated_quality(x, y, split_folds(x, 9, 0), FitConfig(), params)
+    report = cross_validated_quality(y, split_folds(x, 9, 0), FitConfig(), params)
     assert report["folds"] == 9
     assert len(report["per_fold"]) == 9
     assert math.isfinite(report["mae"])
@@ -270,9 +271,30 @@ def test_cross_validated_quality_fold_bounds():
     with pytest.raises(ValueError, match="features must be a 2-D matrix"):
         split_folds(x.ravel(), 2, 0)
     params = KernelParams(length_scales=np.ones(1))
-    for features, ages in ((x.ravel(), x.ravel()), (x, x.ravel()[:-1])):
-        with pytest.raises(ValueError, match="features must be 2-D with one row per y entry"):
-            cross_validated_quality(features, ages, (), FitConfig(), params)
+    for ages, folds in ((x.ravel(), ()), (x.ravel()[:-1], split_folds(x, 2, 0))):
+        with pytest.raises(ValueError, match=r"held-out rows must cover rows 0-\d exactly once"):
+            cross_validated_quality(ages, folds, FitConfig(), params)
+
+
+def test_cross_validated_quality_refuses_folds_that_do_not_cover_every_row_once(monkeypatch):
+    # Rows no fold holds out would be pooled from memory nothing wrote.
+    rng = np.random.default_rng(13)
+    y = rng.uniform(20, 80, 16)
+    x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 16), rng.normal(size=16)])
+    params = KernelParams(length_scales=np.array([2.0, 1.5]), noise_variance=0.5)
+    _fit_at(monkeypatch, params)
+    f0, f1, f2, f3 = split_folds(x, 4, 0)
+    outside = CvFold(np.append(f3.held_out, 16), f3.train_features, f3.held_out_features)
+    negative = CvFold(np.append(f3.held_out[1:], -1), f3.train_features, f3.held_out_features)
+    for folds in ((f0, f1), (f0, f0, f2, f3), (f0, f1, f2, outside), (f0, f1, f2, negative)):
+        with pytest.raises(ValueError, match="held-out rows must cover rows 0-15 exactly once"):
+            cross_validated_quality(y, folds, FitConfig(), params)
+    report = cross_validated_quality(y, (f2, f0, f3, f1), FitConfig(), params)
+    assert report["mae"] == cross_validated_quality(y, (f0, f1, f2, f3), FitConfig(), params)["mae"]
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_split_folds_partitions_the_rows_and_transforms_only_training_rows():
@@ -282,8 +304,12 @@ def test_split_folds_partitions_the_rows_and_transforms_only_training_rows():
     held_out = np.concatenate([fold.held_out for fold in split])
     assert np.array_equal(np.sort(held_out), np.arange(23))
     for fold in split:
-        train = np.delete(x, fold.held_out, axis=0)
-        assert np.array_equal(fold.train_features, apply_chain(train, fold.standardizer, fold.pca))
+        keep = np.ones(23, dtype=bool)
+        keep[fold.held_out] = False
+        standardizer, pca, train = fit_chain(x[keep], standardize=True, n_components=2)
+        assert _same_bits(fold.train_features, train)
+        expected = pca.project(standardizer.apply(x[fold.held_out]))
+        assert _same_bits(fold.held_out_features, expected)
 
 
 def test_fold_with_a_column_constant_on_its_training_rows_is_named():
@@ -333,12 +359,11 @@ def _record_fits(monkeypatch):
 
 
 def _fingerprint(fold, fitted) -> list:
-    """The bits of a fold's preprocessing chain, fit inputs and fitted model."""
-    arrays = [fitted["x"], fitted["y"], fitted["model"].params.length_scales, fitted["model"].alpha]
-    if fold.standardizer is not None:
-        arrays += [fold.standardizer.means, fold.standardizer.std_devs]
-    if fold.pca is not None:
-        arrays += [fold.pca.mean, fold.pca.components, fold.pca.explained_variance]
+    """The bits of a fold's preprocessed training rows, fit inputs and fitted model."""
+    arrays = [
+        fold.train_features, fitted["x"], fitted["y"],
+        fitted["model"].params.length_scales, fitted["model"].alpha,
+    ]
     return [a.tobytes() for a in arrays] + [fitted["model"].log_marginal_likelihood]
 
 
@@ -361,14 +386,18 @@ def test_held_out_rows_do_not_reach_their_folds_preprocessing_or_model(monkeypat
     for features in (x, perturbed):
         split = split_folds(features, folds, config.seed, **chain)
         fits = _record_fits(monkeypatch)
-        cross_validated_quality(features, y, split, config, start)
+        cross_validated_quality(y, split, config, start)
         runs.append([_fingerprint(fold, fitted) for fold, fitted in zip(split, fits)])
     assert [len(run) for run in runs] == [folds, folds]
-    assert (split[0].standardizer is not None) == chain.get("standardize", False)
-    assert (split[0].pca is not None) == ("n_components" in chain)
     # only the fold that held the perturbed rows out is blind to them
     unchanged = [a == b for a, b in zip(*runs)]
     assert unchanged == [k == 1 for k in range(folds)]
+    # and it sends them through its own chain, fitted without them
+    standardizer, pca, _ = fit_chain(np.delete(perturbed, held_out, axis=0), **chain)
+    assert (standardizer is not None) == chain.get("standardize", False)
+    assert (pca is not None) == ("n_components" in chain)
+    expected = apply_chain(perturbed[held_out], standardizer, pca)
+    assert _same_bits(split[1].held_out_features, expected)
 
 
 def test_each_fold_fits_once_from_the_given_start(monkeypatch):
@@ -377,7 +406,7 @@ def test_each_fold_fits_once_from_the_given_start(monkeypatch):
     x = np.column_stack([y / 10.0 + rng.normal(0, 0.3, 30), rng.normal(size=30)])
     start = KernelParams(length_scales=np.array([1.5, 3.0]), noise_variance=5.0)
     fits = _record_fits(monkeypatch)
-    cross_validated_quality(x, y, split_folds(x, 3, 0), FitConfig(restarts=4), start)
+    cross_validated_quality(y, split_folds(x, 3, 0), FitConfig(restarts=4), start)
     assert len(fits) == 3
     for fitted in fits:
         assert fitted["start"] is start

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -8,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_midranks
+from conftest import enumerated_two_sided_p, naive_midranks
 
 from normgp.errors import SchemaError
 from normgp.gpr import restore
@@ -44,24 +43,6 @@ def test_rank_sum_identical_groups_is_central():
     assert result.p_value == 1.0
 
 
-def _enumerated_two_sided_p(a, b):
-    """Brute-force exact two-sided p: mass of |U - n1 n2 / 2| at least as big."""
-    pooled = np.concatenate([a, b])
-    n1 = len(a)
-    ranks = scipy.stats.rankdata(pooled)
-    observed_u = np.sum(ranks[:n1]) - n1 * (n1 + 1) / 2
-    center = n1 * len(b) / 2
-    observed_dev = abs(observed_u - center)
-    total = 0
-    hits = 0
-    for combo in itertools.combinations(range(len(pooled)), n1):
-        total += 1
-        u = np.sum(ranks[list(combo)]) - n1 * (n1 + 1) / 2
-        if abs(u - center) >= observed_dev - 1e-9:
-            hits += 1
-    return hits / total
-
-
 def test_rank_sum_exact_matches_enumeration():
     rng = np.random.default_rng(10)
     for _ in range(12):
@@ -71,7 +52,7 @@ def test_rank_sum_exact_matches_enumeration():
         b = rng.normal(0.8, 1.0, size=n2)
         result = rank_sum_test(a, b)
         assert result.method == "exact"
-        assert abs(result.p_value - _enumerated_two_sided_p(a, b)) < 1e-12
+        assert abs(result.p_value - enumerated_two_sided_p(a, b)) < 1e-12
 
 
 def test_rank_sum_exact_matches_scipy():

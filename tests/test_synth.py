@@ -160,6 +160,6 @@ def test_healthy_cohort_supports_an_accurate_age_regression():
     config = FitConfig(restarts=2, seed=5)
     full = fit(cohort.features, cohort.age, config)
     split = split_folds(cohort.features, 5, config.seed)
-    report = cross_validated_quality(cohort.features, cohort.age, split, config, full.params)
+    report = cross_validated_quality(cohort.age, split, config, full.params)
     assert report["mae"] < 0.25 * 60.0
     assert report["r2"] > 0.5

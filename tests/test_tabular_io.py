@@ -617,12 +617,19 @@ def _without_training_rows(lines):
          "malformed version 'vX'"),
         (_replace_after_header("std_devs", 1, lambda line: "0 " + line.split(" ", 1)[1]),
          ModelFormatError, "inconsistent model contents: std_devs must be strictly positive"),
+        (_replace_header("restarts_used", "restarts_used 2"), ModelFormatError,
+         "inconsistent model contents: restarts_used is 2, but 1 restarts are stored"),
+        (_replace_header("chosen_restart", "chosen_restart 1"), ModelFormatError,
+         "inconsistent model contents: chosen_restart 1 is outside restarts 0-0"),
+        (_replace_header("log_marginal", "log_marginal -1000.5"), ModelFormatError,
+         "inconsistent model contents: log_marginal -1000.5 is not the chosen -?[0-9]"),
     ],
     ids=["wrong-tag", "non-integer-count", "matrix-header-arity", "int-header-arity",
          "non-numeric-vector-value", "vector-row-width", "matrix-row-width",
          "standardizer-2", "pca-negative", "negative-length", "unknown-kernel",
          "cut-inside-matrix", "no-end", "no-training-rows", "non-finite-y-offset",
-         "nan-training-age", "inf-training-feature", "malformed-version", "zero-std-dev"],
+         "nan-training-age", "inf-training-feature", "malformed-version", "zero-std-dev",
+         "restarts-used", "chosen-restart", "log-marginal"],
 )
 def test_model_malformed_section(tmp_path, edit, error, message):
     # every message names the file, once, at its start
